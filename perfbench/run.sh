@@ -1,0 +1,15 @@
+#!/usr/bin/env bash
+# Builds the benchmark from the checkout's sources and runs it with the
+# given arguments. Run from the repository root:
+#
+#   bash perfbench/run.sh --workload suite-full --seed 1 --seconds 20 --trace 0
+#
+# Everything the build and the run write stays under .bench_build/.
+set -euo pipefail
+root=$(pwd)
+out="$root/.bench_build"
+mkdir -p "$out/tmp"
+export GOCACHE="$out/gocache" GOPATH="$out/gopath" GOTMPDIR="$out/tmp" TMPDIR="$out/tmp"
+export GOTOOLCHAIN=local GOWORK=off GOPROXY=off GOFLAGS=
+(cd "$root/perfbench" && go build -o "$out/perfbench-bin" .) >&2
+exec "$out/perfbench-bin" -root "$root" "$@"
