@@ -7,10 +7,52 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 )
+
+// TestMain lets a test run the test binary itself as the leakyway
+// command: with LEAKYWAY_TEST_MAIN=1 in the environment the binary
+// executes mainRun on its arguments instead of the tests.
+func TestMain(m *testing.M) {
+	if os.Getenv("LEAKYWAY_TEST_MAIN") == "1" {
+		os.Exit(mainRun())
+	}
+	os.Exit(m.Run())
+}
+
+// runCommand runs the leakyway command line in a child process and returns
+// its stdout and stderr.
+func runCommand(t *testing.T, args ...string) (string, string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "LEAKYWAY_TEST_MAIN=1")
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("leakyway %s: %v\n%s", strings.Join(args, " "), err, stderr.String())
+	}
+	return stdout.String(), stderr.String()
+}
+
+// TestBatchFlagDeprecatedNoOp pins the retired -batch flag: it still
+// parses, changes nothing in the output, and warns once on stderr.
+func TestBatchFlagDeprecatedNoOp(t *testing.T) {
+	const warning = "-batch is deprecated and ignored"
+	plainOut, plainErr := runCommand(t, "-quick", "run", "fig8")
+	batchOut, batchErr := runCommand(t, "-quick", "-batch", "4", "run", "fig8")
+	if plainOut == "" || batchOut != plainOut {
+		t.Fatalf("-batch 4 changed the fig8 output (%d vs %d bytes)", len(batchOut), len(plainOut))
+	}
+	if n := strings.Count(batchErr, warning); n != 1 {
+		t.Fatalf("-batch 4 printed the deprecation warning %d times; want once. stderr:\n%s", n, batchErr)
+	}
+	if strings.Contains(plainErr, warning) {
+		t.Fatalf("deprecation warning printed without -batch:\n%s", plainErr)
+	}
+}
 
 func TestRunUnknownExperiment(t *testing.T) {
 	if err := run([]string{"not-an-experiment"}, options{platform: "both", seed: 1, quick: true}, io.Discard); err == nil {

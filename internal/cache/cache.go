@@ -85,8 +85,8 @@ type Stats struct {
 // and — just as importantly — makes recycling cheap: the cache records which
 // sets were ever written, so Reset restores a heavily-used cache to its
 // freshly-built state by re-zeroing only those sets instead of the whole
-// multi-megabyte array. sim.BatchMachine leans on that to run Monte-Carlo
-// fleets without rebuilding a hierarchy per trial.
+// multi-megabyte array. sim.Arena leans on that to run Monte-Carlo
+// trials without rebuilding a hierarchy per trial.
 type Cache struct {
 	cfg   Config
 	addrs []mem.LineAddr // sets*ways line addresses

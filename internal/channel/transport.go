@@ -204,14 +204,6 @@ func emitFrame(c *sim.Core, kind string, slot int, val int64, note string) {
 	tr.Emit(e)
 }
 
-var arqDebug = false
-
-func dbg(c *sim.Core, format string, args ...any) {
-	if arqDebug {
-		fmt.Printf("[%12d] "+format+"\n", append([]any{c.Now()}, args...)...)
-	}
-}
-
 // burstSlots is the slot count of a burst carrying n payload bits:
 // preamble, 2 silence, START, guard, payload, 2 trailing silence.
 func burstSlots(n int) int64 { return int64(ssPreamble + 4 + n + 2) }
@@ -324,7 +316,6 @@ func (r *listener) listen(c *sim.Core, deadline int64, lenFor func(head []bool) 
 					r.th = core.Calibrate(c, 16)
 					r.hardReprime(c)
 					quietRecovers = 0
-					dbg(c, "L: dead-silence threshold recalibration")
 				}
 			}
 			if len(misses) < 4 {
@@ -497,7 +488,6 @@ func RunARQOn(m *sim.Machine, tcfg TransportConfig, dx *DuplexEndpoints, payload
 				}
 				wire := EncodeFrame(fr, mode)
 				t = max(t, c.Now()+2*interval)
-				dbg(c, "S: tx frame %d attempt %d mode=%v interval=%d at %d", fi, attempt, mode, interval, t)
 				emitFrame(c, "frame-tx", fi, int64(attempt), fmt.Sprintf("%v", mode))
 				txBurst(c, dx.Fwd.DS, t, interval, cfg.ProtocolOverhead, wire)
 				// Listen for the ACK: the receiver turns around within a
@@ -510,8 +500,6 @@ func RunARQOn(m *sim.Machine, tcfg TransportConfig, dx *DuplexEndpoints, payload
 				good := false
 				nacked := false
 				if bits, ok := ackRx.listen(c, ackDeadline, func([]bool) int { return AckWireBits() }); ok {
-					seqD, okD, errD := DecodeAck(bits)
-					dbg(c, "S: ack rx seq=%d ok=%v err=%v (want %d)", seqD, okD, errD, fr.Seq)
 					// Any reverse-lane burst — a NACK, a stale ACK, even a
 					// garbled one — proves the receiver has finished its
 					// transmission and is listening again: retransmit
@@ -526,7 +514,6 @@ func RunARQOn(m *sim.Machine, tcfg TransportConfig, dx *DuplexEndpoints, payload
 						}
 					}
 				} else {
-					dbg(c, "S: ack timeout frame %d", fi)
 					rep.AckTimeouts++
 					emitFrame(c, "ack-timeout", fi, 0, "")
 				}
@@ -603,7 +590,6 @@ func RunARQOn(m *sim.Machine, tcfg TransportConfig, dx *DuplexEndpoints, payload
 				return // global deadline: transfer failed
 			}
 			fr, _, err := DecodeFrame(bits)
-			dbg(c, "R: frame rx len=%d seq=%d err=%v est=%d (expect %d)", len(bits), fr.Seq, err, dataRx.est, expected%SeqModulus)
 			if err != nil {
 				emitFrame(c, "frame-rx", -1, 0, "crc-error")
 				// Receiver-side recalibration: repeated garble means the
@@ -689,6 +675,3 @@ func RunARQOn(m *sim.Machine, tcfg TransportConfig, dx *DuplexEndpoints, payload
 	}
 	return rep, out, nil
 }
-
-// SetARQDebug toggles protocol tracing (tests only).
-func SetARQDebug(v bool) { arqDebug = v }

@@ -3,13 +3,21 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"leakyway/internal/channel"
+	"leakyway/internal/mem"
+	"leakyway/internal/scenario"
+	"leakyway/internal/sim"
 )
 
 // testContext builds an engine context with the given job count writing to
@@ -204,5 +212,134 @@ func TestFailfCarriesExperimentAndPhase(t *testing.T) {
 	}
 	if strings.Contains(err.Error(), "panic:") {
 		t.Fatalf("failf must not read as a panic: %v", err)
+	}
+}
+
+// TestCancelInsideRecycledTrial cancels a quick fig8 from inside its k-th
+// sweep trial, on the recycling kernel that every run — the daemon's
+// cancellable ones included — goes through. RunSpecs must return
+// context.Canceled and no trial may start once the cancellation is
+// visible: at jobs=1 none at all, at jobs=N at most the N-1 other trials
+// already admitted by a checkpoint when it fired. An uncancelled run
+// afterwards must still reproduce the golden metrics, so a cancelled run
+// leaves nothing behind in the recycled arenas.
+func TestCancelInsideRecycledTrial(t *testing.T) {
+	const k = 5
+	orig := map[string]channel.Runner{}
+	for key, run := range sweepRunners {
+		orig[key] = run
+	}
+	restore := func() {
+		for key, run := range orig {
+			sweepRunners[key] = run
+		}
+	}
+	t.Cleanup(restore)
+	for _, jobs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("jobs=%d", jobs), func(t *testing.T) {
+			ctx := testContext(jobs)
+			cctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			ctx.Ctx = cctx
+			var started, late atomic.Int64
+			for key, run := range orig {
+				run := run
+				sweepRunners[key] = func(m *sim.Machine, cfg channel.Config, msg []bool) (channel.Report, []bool) {
+					if cctx.Err() != nil {
+						late.Add(1)
+					}
+					if started.Add(1) == k {
+						cancel()
+					}
+					return run(m, cfg, msg)
+				}
+			}
+			_, err := RunSpecs(ctx, []*scenario.Spec{specFig8()})
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("want context.Canceled, got %v", err)
+			}
+			if n := late.Load(); n > int64(jobs-1) {
+				t.Fatalf("%d trials started after the cancellation; want at most %d", n, jobs-1)
+			}
+			if n := started.Load(); n >= 40 {
+				t.Fatalf("all %d fig8 trials ran despite cancellation", n)
+			}
+		})
+	}
+	restore()
+
+	ctx := testContext(4)
+	ctx.Seed = 42
+	results, err := RunSpecs(ctx, []*scenario.Spec{specFig8()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden map[string]map[string]float64
+	if err := json.Unmarshal(raw, &golden); err != nil {
+		t.Fatal(err)
+	}
+	if got := results["fig8"].Metrics; !reflect.DeepEqual(got, golden["fig8"]) {
+		t.Fatalf("fig8 after a cancelled run = %v, want golden %v", got, golden["fig8"])
+	}
+}
+
+// TestBatchTrialsPanicIsolated proves a panic in one BatchTrials trial at
+// jobs=4 — an agent dying mid-run next to a looping daemon, on a machine
+// built with fig8's geometry — surfaces as the experiment's error, leaks
+// no goroutines, and does not poison the recycled arenas: fig8 run
+// afterwards is byte-identical to fig8 run before.
+func TestBatchTrialsPanicIsolated(t *testing.T) {
+	fig8 := func() string {
+		var buf bytes.Buffer
+		ctx := NewContext(&buf)
+		ctx.Quick = true
+		ctx.Jobs = 4
+		if _, err := RunOne(ctx, "fig8"); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	ref := fig8()
+
+	base := runtime.NumGoroutine()
+	bomb := Experiment{
+		ID:    "bomb",
+		Title: "an agent panics in trial 3",
+		Run: func(ctx *Context) (*Result, error) {
+			ctx.BatchTrials(8, func(i int, src sim.MachineSource) {
+				m := src.NewMachine(ctx.Platforms[0], 1<<30, ctx.ShardSeed(i))
+				m.Spawn("worker", 0, nil, func(c *sim.Core) {
+					buf := c.Alloc(mem.PageSize)
+					for k := 0; k < 200; k++ {
+						c.Load(buf + mem.VAddr((k%32)*64))
+					}
+					if i == 3 {
+						panic("boom")
+					}
+				})
+				m.SpawnDaemon("noise", 1, nil, func(c *sim.Core) {
+					buf := c.Alloc(mem.PageSize)
+					for {
+						c.Load(buf)
+						c.Spin(50)
+					}
+				})
+				m.Run()
+			})
+			return &Result{}, nil
+		},
+	}
+	_, err := runExperiments(testContext(4), []Experiment{bomb})
+	if err == nil || !strings.Contains(err.Error(), "boom") || !strings.Contains(err.Error(), "bomb") {
+		t.Fatalf("want the trial panic surfaced as the experiment's error, got %v", err)
+	}
+	settleGoroutines(t, base)
+
+	if got := fig8(); got != ref {
+		t.Fatal("fig8 after a panicking trial is not byte-identical to fig8 before it")
 	}
 }

@@ -2,9 +2,13 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"reflect"
 	"testing"
+
+	"leakyway/internal/telemetry"
+	"leakyway/internal/trace"
 )
 
 // TestRunAllJobsMatrix is the engine's core contract: the full suite,
@@ -64,52 +68,74 @@ func TestRunAllJobsMatrix(t *testing.T) {
 	}
 }
 
-// TestBatchWidthMatrix is the batch kernel's contract: every experiment
+// TestTrialWiringMatrix is the trial kernel's contract: every experiment
 // that routes trials through BatchTrials must produce identical metrics
-// and a byte-identical report for any fleet width and any worker count —
-// the scalar kernel (width 1) is the reference. A divergence means the
-// lockstep scheduler or the arena recycling leaked into simulation state.
-func TestBatchWidthMatrix(t *testing.T) {
+// and a byte-identical report however the run is wired — plain (the
+// CLI), traced with a buffering collector, or the daemon's EngineRunner
+// wiring (live cancellable Ctx, Progress checkpoints and a counting trace
+// collector) — at any worker count. Plain jobs=1 is the reference. All
+// wirings recycle machines, so a divergence means recycled state leaked
+// into a trial or an observer perturbed the simulation.
+func TestTrialWiringMatrix(t *testing.T) {
 	batched := []string{"fig8", "table2", "noise", "faults", "ablate-lanes"}
+	wirings := []struct {
+		name string
+		wire func(ctx *Context)
+	}{
+		{"plain", func(*Context) {}},
+		{"traced", func(ctx *Context) { ctx.Trace = trace.NewCollector() }},
+		{"engine-runner", func(ctx *Context) {
+			c, cancel := context.WithCancel(context.Background())
+			t.Cleanup(cancel)
+			ctx.Ctx = c
+			ctx.Progress = telemetry.NewProgress()
+			counts := &trace.EventCounts{}
+			ctx.Trace = trace.NewCountingCollector(counts)
+			ctx.Progress.SetEventSource(counts.Counts)
+		}},
+	}
 	type outcome struct {
 		metrics map[string]map[string]float64
 		report  string
 	}
-	runWith := func(width, jobs int) outcome {
+	runWith := func(wire func(*Context), jobs int) outcome {
 		var buf bytes.Buffer
 		ctx := NewContext(&buf)
 		ctx.Quick = true
 		ctx.Seed = 42
 		ctx.Jobs = jobs
-		ctx.BatchWidth = width
+		wire(ctx)
 		out := outcome{metrics: map[string]map[string]float64{}}
 		for _, id := range batched {
 			r, err := RunOne(ctx, id)
 			if err != nil {
-				t.Fatalf("width=%d jobs=%d %s: %v", width, jobs, id, err)
+				t.Fatalf("jobs=%d %s: %v", jobs, id, err)
 			}
 			out.metrics[id] = r.Metrics
 		}
 		out.report = buf.String()
 		return out
 	}
-	ref := runWith(1, 1)
+	ref := runWith(wirings[0].wire, 1)
 	if len(ref.report) == 0 {
-		t.Fatal("scalar reference run produced no report")
+		t.Fatal("plain reference run produced no report")
 	}
-	for _, width := range []int{3, 8} {
+	for _, w := range wirings {
 		for _, jobs := range []int{1, 4} {
-			got := runWith(width, jobs)
+			if w.name == "plain" && jobs == 1 {
+				continue
+			}
+			got := runWith(w.wire, jobs)
 			if !reflect.DeepEqual(got.metrics, ref.metrics) {
-				t.Fatalf("width=%d jobs=%d: metrics diverge from scalar kernel", width, jobs)
+				t.Fatalf("%s jobs=%d: metrics diverge from plain jobs=1", w.name, jobs)
 			}
 			if got.report != ref.report {
 				i := 0
 				for i < len(ref.report) && i < len(got.report) && ref.report[i] == got.report[i] {
 					i++
 				}
-				t.Fatalf("width=%d jobs=%d: report not byte-identical to scalar; first divergence at byte %d: %q",
-					width, jobs, i, got.report[max(0, i-60):min(i+60, len(got.report))])
+				t.Fatalf("%s jobs=%d: report not byte-identical to plain jobs=1; first divergence at byte %d: %q",
+					w.name, jobs, i, got.report[max(0, i-60):min(i+60, len(got.report))])
 			}
 		}
 	}

@@ -240,104 +240,24 @@ recruit:
 	}
 }
 
-// defaultBatchWidth is the lockstep fleet width when the context leaves
-// BatchWidth at zero. Eight machines per fleet keeps an arena's recycled
-// hierarchies hot without ballooning resident memory.
-const defaultBatchWidth = 8
-
-// batchWidth resolves the effective fleet width.
-func (ctx *Context) batchWidth() int {
-	switch {
-	case ctx.BatchWidth == 0:
-		return defaultBatchWidth
-	case ctx.BatchWidth < 1:
-		return 1
-	default:
-		return ctx.BatchWidth
-	}
-}
-
-// BatchTrials runs body(0), ..., body(n-1), where each body builds its
-// machines through the MachineSource it is handed. Eligible runs go through
-// the batched lockstep kernel (sim.RunBatch): trials are striped across up
-// to ctx.workers() worker groups, and each group steps its trials as one
-// fleet over a recycled construction arena. Trial output is byte-identical
-// to the scalar path for every Jobs value and batch width — bodies must
-// only write per-index state and derive randomness from per-trial seeds,
-// exactly as Parallel already requires.
-//
-// Two situations force the scalar kernel: traced runs (every machine needs
-// its own fresh hierarchy so trace streams see pristine construction
-// events, and trace buffers dwarf the construction cost anyway) and
-// cancellable runs (the daemon's per-job deadlines need the between-shard
-// cancellation checkpoints Parallel provides; a lockstep fleet only stops
-// at quantum boundaries).
+// BatchTrials runs body(0), ..., body(n-1) through Parallel, where each
+// body builds its machines through the MachineSource it is handed. Every
+// trial borrows an arena from sim's process-global free list and runs
+// through sim.RunBatch, so machines recycle hierarchies and frame
+// shuffles on every path — traced and cancellable (daemon) runs included —
+// while keeping Parallel's per-trial cancellation checkpoints, progress
+// ticks and panic propagation. Trial output is byte-identical to building
+// every machine fresh, for every Jobs value: bodies must only write
+// per-index state and derive randomness from per-trial seeds, exactly as
+// Parallel already requires. Tracing is safe on recycled machines because
+// a recycled hierarchy comes back with its tracer detached and a trial
+// body that traces attaches its own after NewMachine.
 func (ctx *Context) BatchTrials(n int, body func(i int, src sim.MachineSource)) {
-	width := ctx.batchWidth()
-	if n <= 1 || width <= 1 || ctx.Trace != nil || ctx.Ctx != nil {
-		ctx.Parallel(n, func(i int) { body(i, sim.Scalar()) })
-		return
-	}
-	groups := ctx.workers()
-	if g := (n + width - 1) / width; g < groups {
-		groups = g
-	}
-	runFleet := func(g int) {
-		count := (n - g + groups - 1) / groups // trials g, g+groups, ...
+	ctx.Parallel(n, func(i int) {
 		ar := sim.AcquireArena()
 		defer sim.ReleaseArena(ar)
-		sim.RunBatch(count, width, ar, func(j int, src sim.MachineSource) {
-			body(g+j*groups, src)
-			ctx.Progress.ShardDone()
-		})
-	}
-	ctx.Progress.AddShards(n)
-	if groups <= 1 {
-		runFleet(0)
-		return
-	}
-	// Fan the fleets out through the engine's worker tokens directly
-	// (not via Parallel, whose shard accounting is per-call — progress
-	// here ticks once per trial, added above). Each fleet is one coarse
-	// unit of work; when no token is free the fleet runs on the calling
-	// goroutine, so this can never deadlock.
-	var wg sync.WaitGroup
-	var firstPanic struct {
-		mu  sync.Mutex
-		val any
-		set bool
-	}
-	run := func(g int) {
-		defer func() {
-			if r := recover(); r != nil {
-				firstPanic.mu.Lock()
-				if !firstPanic.set {
-					firstPanic.val, firstPanic.set = r, true
-				}
-				firstPanic.mu.Unlock()
-			}
-		}()
-		runFleet(g)
-	}
-	for g := 1; g < groups; g++ {
-		g := g
-		select {
-		case ctx.sem <- struct{}{}:
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer func() { <-ctx.sem }()
-				run(g)
-			}()
-		default:
-			run(g)
-		}
-	}
-	run(0)
-	wg.Wait()
-	if firstPanic.set {
-		panic(firstPanic.val)
-	}
+		sim.RunBatch(1, 1, ar, func(_ int, src sim.MachineSource) { body(i, src) })
+	})
 }
 
 // abort unwinds a cancelled task. Under the engine (guarded contexts) it

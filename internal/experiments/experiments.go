@@ -37,11 +37,6 @@ type Context struct {
 	// serial. Any value produces byte-identical output for a given seed.
 	Jobs int
 
-	// BatchWidth is the lockstep fleet width for Monte-Carlo trial
-	// batching (see BatchTrials in engine.go): 0 picks the default, 1
-	// forces the scalar kernel. Output is byte-identical for any value.
-	BatchWidth int
-
 	// Ctx, when non-nil, makes the run cancellable: the engine checks it
 	// before starting each experiment and between trial shards handed out
 	// by Parallel, so RunAll returns the context's error (context.Canceled
@@ -99,19 +94,18 @@ func NewContext(out io.Writer) *Context {
 // global -jobs cap.
 func (ctx *Context) child(seed int64, out io.Writer, label string) *Context {
 	return &Context{
-		Platforms:  ctx.Platforms,
-		Seed:       seed,
-		Quick:      ctx.Quick,
-		Out:        out,
-		Jobs:       ctx.Jobs,
-		BatchWidth: ctx.BatchWidth,
-		Ctx:        ctx.Ctx,
-		Progress:   ctx.Progress,
-		Trace:      ctx.Trace,
-		TraceMask:  ctx.TraceMask,
-		tracePath:  joinLabel(ctx.tracePath, label),
-		sem:        ctx.sem,
-		guarded:    ctx.guarded,
+		Platforms: ctx.Platforms,
+		Seed:      seed,
+		Quick:     ctx.Quick,
+		Out:       out,
+		Jobs:      ctx.Jobs,
+		Ctx:       ctx.Ctx,
+		Progress:  ctx.Progress,
+		Trace:     ctx.Trace,
+		TraceMask: ctx.TraceMask,
+		tracePath: joinLabel(ctx.tracePath, label),
+		sem:       ctx.sem,
+		guarded:   ctx.guarded,
 	}
 }
 

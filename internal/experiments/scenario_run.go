@@ -184,15 +184,10 @@ func runPipelineSpec(ctx *Context, s *scenario.Spec) (*Result, error) {
 	return res, nil
 }
 
-// sweepRunner resolves a validated sweep channel key.
-func sweepRunner(key string) channel.Runner {
-	switch key {
-	case "ntpntp":
-		return channel.RunNTPNTP
-	case "primeprobe":
-		return channel.RunPrimeProbe
-	}
-	panic("scenario: unvalidated sweep channel " + key)
+// sweepRunners maps each validated sweep channel key to its runner.
+var sweepRunners = map[string]channel.Runner{
+	"ntpntp":     channel.RunNTPNTP,
+	"primeprobe": channel.RunPrimeProbe,
 }
 
 // runSweepSpec measures capacity and BER across transmission intervals
@@ -214,7 +209,7 @@ func runSweepSpec(ctx *Context, s *scenario.Spec) (*Result, error) {
 		}
 		sws := make([]channel.SweepResult, len(s.Sweep.Channels))
 		for i, ch := range s.Sweep.Channels {
-			sws[i] = channel.SweepBatch(cfg, sweepRunner(ch.Channel), base, ch.Intervals,
+			sws[i] = channel.Sweep(cfg, sweepRunners[ch.Channel], base, ch.Intervals,
 				bits, sub.SeedFor(ch.Channel), sub.BatchTrials, tf(ch.Channel, ch.Intervals))
 		}
 		for _, sw := range sws {

@@ -76,6 +76,8 @@ type Hierarchy struct {
 	tr      *trace.Tracer
 	trAgent string
 	trCore  int
+	// fillAges is fillMeta's scratch snapshot of one set's pre-fill ages.
+	fillAges [64]int
 }
 
 // setIndexMask returns sets-1 for power-of-two set counts, else -1.
@@ -399,9 +401,9 @@ func (h *Hierarchy) FenceLatency() int64 { return h.cfg.Lat.Fence }
 // propagates its dirtiness to an L2/LLC copy when present). The coherence
 // directory, when present, tracks the fill.
 func (h *Hierarchy) fillL1(core int, la mem.LineAddr, cls policy.AccessClass, now, ready int64) {
-	meta := h.fillMeta(h.l1[core], h.l1Set(la))
+	h.fillMeta(h.l1[core], h.l1Set(la))
 	ev, evicted, _ := h.l1[core].Fill(h.l1Set(la), la, cls, now, ready)
-	h.traceFill(h.l1[core], LevelL1, -1, h.l1Set(la), la, ev, evicted, true, meta, now)
+	h.traceFill(h.l1[core], LevelL1, -1, h.l1Set(la), la, ev, evicted, true, now)
 	if evicted && ev.Dirty {
 		h.propagateDirty(core, ev.Addr)
 	}
@@ -411,9 +413,9 @@ func (h *Hierarchy) fillL1(core int, la mem.LineAddr, cls policy.AccessClass, no
 // fillL2 installs la into core's L2 (non-inclusive: evictions do not touch
 // the L1).
 func (h *Hierarchy) fillL2(core int, la mem.LineAddr, cls policy.AccessClass, now, ready int64) {
-	meta := h.fillMeta(h.l2[core], h.l2Set(la))
+	h.fillMeta(h.l2[core], h.l2Set(la))
 	ev, evicted, _ := h.l2[core].Fill(h.l2Set(la), la, cls, now, ready)
-	h.traceFill(h.l2[core], LevelL2, -1, h.l2Set(la), la, ev, evicted, true, meta, now)
+	h.traceFill(h.l2[core], LevelL2, -1, h.l2Set(la), la, ev, evicted, true, now)
 	if evicted && ev.Dirty {
 		h.propagateDirty(core, ev.Addr)
 	}
@@ -442,9 +444,9 @@ func (h *Hierarchy) fillLLC(core int, la mem.LineAddr, cls policy.AccessClass, n
 	if h.partMask != nil {
 		allowed = h.partMask[core]
 	}
-	meta := h.fillMeta(h.llc[slice], set)
+	h.fillMeta(h.llc[slice], set)
 	ev, evicted, ok := h.llc[slice].FillRestricted(set, la, cls, now, ready, allowed)
-	h.traceFill(h.llc[slice], LevelLLC, slice, set, la, ev, evicted, ok, meta, now)
+	h.traceFill(h.llc[slice], LevelLLC, slice, set, la, ev, evicted, ok, now)
 	if !ok {
 		return false
 	}

@@ -2,7 +2,7 @@ package hier
 
 // Hierarchy recycling. Building a hierarchy is the dominant per-trial cost of
 // a Monte-Carlo sweep (the line arrays and per-set policy states dwarf the
-// stepping work of a short trial), so the batch kernel in package sim keeps a
+// stepping work of a short trial), so the trial kernel in package sim keeps a
 // Pool of hierarchies keyed by configuration and re-seeds one per trial
 // instead of rebuilding. Reset restores exactly the state New would produce —
 // the sparse touched-set tracking inside package cache makes this cost

@@ -57,19 +57,22 @@ func (h *Hierarchy) lookupTraced(c *cache.Cache, lvl Level, slice, set int, la m
 	return hit
 }
 
-// fillMeta snapshots a set's replacement ages before a fill. It returns
-// nil when hier tracing is off, which is the signal traceFill keys on.
-func (h *Hierarchy) fillMeta(c *cache.Cache, set int) []int {
+// fillMeta snapshots a set's replacement ages into h.fillAges before a
+// fill when hier tracing is on. Ways are capped at 64 (policy.Mask), so
+// the fixed array holds any set and a traced fill allocates nothing.
+func (h *Hierarchy) fillMeta(c *cache.Cache, set int) {
 	if !h.tr.On(trace.PkgHier) {
-		return nil
+		return
 	}
-	return c.ViewSet(set).Meta
+	for w := 0; w < c.Ways(); w++ {
+		h.fillAges[w] = c.AgeOf(set, w)
+	}
 }
 
 // traceFill emits the evict/fill (or fill-drop) events for one completed
-// Fill, given the pre-fill age snapshot from fillMeta.
-func (h *Hierarchy) traceFill(c *cache.Cache, lvl Level, slice, set int, la mem.LineAddr, ev cache.Evicted, evicted, ok bool, meta []int, now int64) {
-	if meta == nil {
+// Fill, given the pre-fill age snapshot fillMeta took.
+func (h *Hierarchy) traceFill(c *cache.Cache, lvl Level, slice, set int, la mem.LineAddr, ev cache.Evicted, evicted, ok bool, now int64) {
+	if !h.tr.On(trace.PkgHier) {
 		return
 	}
 	if !ok {
@@ -84,10 +87,10 @@ func (h *Hierarchy) traceFill(c *cache.Cache, lvl Level, slice, set int, la mem.
 	}
 	if evicted {
 		e := h.hierEvent("evict", lvl, slice, set, now)
-		e.Way, e.AgeBefore, e.Addr = way, meta[way], uint64(ev.Addr)
+		e.Way, e.AgeBefore, e.Addr = way, h.fillAges[way], uint64(ev.Addr)
 		h.tr.Emit(e)
 	}
 	e := h.hierEvent("fill", lvl, slice, set, now)
-	e.Way, e.AgeBefore, e.AgeAfter, e.Addr = way, meta[way], c.AgeOf(set, way), uint64(la)
+	e.Way, e.AgeBefore, e.AgeAfter, e.Addr = way, h.fillAges[way], c.AgeOf(set, way), uint64(la)
 	h.tr.Emit(e)
 }

@@ -90,7 +90,7 @@ type SetState interface {
 	// meaning is policy-specific; -1 marks "no meaningful value".
 	Snapshot() []int
 	// Reset restores the state to exactly what NewSet returned, without
-	// allocating — the cache-arena recycling path (sim.BatchMachine) calls
+	// allocating — the hierarchy recycling path (sim.Arena via hier.Pool) calls
 	// it instead of rebuilding per-set state for every Monte-Carlo trial.
 	// Stateful policies must also rewind any internal randomness to its
 	// initial stream so a recycled set is indistinguishable from a fresh

@@ -673,7 +673,12 @@ func (s *Server) runExecution(exec *execution) {
 		return
 	}
 
-	lg := s.cfg.Logger.With("job", exec.jobs[0].ID, "key", shortKey(exec.key))
+	// Submit may append coalesced jobs to exec.jobs concurrently; read the
+	// first job under the lock that guards the slice.
+	s.mu.Lock()
+	firstJob := exec.jobs[0].ID
+	s.mu.Unlock()
+	lg := s.cfg.Logger.With("job", firstJob, "key", shortKey(exec.key))
 
 	exec.progLog.begin()
 	recStop := make(chan struct{})

@@ -8,6 +8,8 @@ import (
 
 	"leakyway/internal/hier"
 	"leakyway/internal/mem"
+	"leakyway/internal/platform"
+	"leakyway/internal/trace"
 )
 
 // batchTestConfig enables the hardware prefetchers so the equivalence
@@ -18,8 +20,23 @@ func batchTestConfig() hier.Config {
 	return cfg
 }
 
+// freshSource builds every machine from scratch: the reference the
+// recycling kernel must match.
+type freshSource struct{}
+
+func (freshSource) NewMachine(cfg hier.Config, memBytes uint64, seed int64) *Machine {
+	return MustNewMachine(cfg, memBytes, seed)
+}
+
+// freshTrials is the reference TrialFor: a plain loop over fresh machines.
+func freshTrials(n int, body func(i int, src MachineSource)) {
+	for i := 0; i < n; i++ {
+		body(i, freshSource{})
+	}
+}
+
 // equivalenceTrial is one Monte-Carlo trial with enough moving parts to
-// expose any divergence between the scalar and batched kernels: two
+// expose any divergence between recycled and fresh machines: two
 // interacting agents with timed loads, non-temporal prefetches, flushes and
 // fences; staged faults (preemption, timer spikes, clock drift); the
 // hardware prefetchers; and a second machine per trial so the
@@ -59,9 +76,9 @@ func equivalenceTrial(i int, src MachineSource) []int64 {
 	})
 	m.Run()
 
-	// Second machine in the same trial: under the batch kernel this
-	// recycles the first machine's hierarchy, so an incomplete reset shows
-	// up as a fingerprint difference against the scalar kernel.
+	// Second machine in the same trial: it recycles the first machine's
+	// hierarchy, so an incomplete reset shows up as a fingerprint
+	// difference against fresh construction.
 	m2 := src.NewMachine(cfg, 1<<24, seed^0x5a5a)
 	m2.Spawn("walker", 0, nil, func(c *Core) {
 		buf := c.Alloc(8 * mem.PageSize)
@@ -82,58 +99,58 @@ func runEquivalenceTrials(n int, tf TrialFor) [][]int64 {
 	return fps
 }
 
+// TestBatchScalarEquivalence pins the trial kernel's contract: trials run
+// through RunBatch on a recycling arena fingerprint identically to the
+// same trials on fresh MustNewMachine machines (the retired scalar
+// kernel), through a private arena and through the global free list.
 func TestBatchScalarEquivalence(t *testing.T) {
 	const n = 10
-	want := runEquivalenceTrials(n, SerialTrials)
-	for _, width := range []int{1, 3, 8} {
-		got := runEquivalenceTrials(n, func(n int, body func(i int, src MachineSource)) {
-			RunBatch(n, width, NewArena(), body)
-		})
-		for i := range want {
-			if !reflect.DeepEqual(got[i], want[i]) {
-				t.Fatalf("width %d: trial %d fingerprint diverges from scalar (lengths %d vs %d)",
-					width, i, len(got[i]), len(want[i]))
-			}
-		}
-	}
-	// The global arena pool must not change results either.
-	ar := AcquireArena()
+	want := runEquivalenceTrials(n, freshTrials)
 	got := runEquivalenceTrials(n, func(n int, body func(i int, src MachineSource)) {
-		RunBatch(n, 4, ar, body)
+		RunBatch(n, 1, NewArena(), body)
+	})
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("private-arena batch run diverges from fresh machines")
+	}
+	ar := AcquireArena()
+	got = runEquivalenceTrials(n, func(n int, body func(i int, src MachineSource)) {
+		RunBatch(n, 1, ar, body)
 	})
 	ReleaseArena(ar)
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("global-arena batch run diverges from scalar")
+		t.Fatalf("global-arena batch run diverges from fresh machines")
 	}
 }
 
 func TestBatchRecyclesHierarchies(t *testing.T) {
-	const n, width = 12, 3
+	const n = 12
 	ar := NewArena()
 	hs := make([]*hier.Hierarchy, n)
-	RunBatch(n, width, ar, func(i int, src MachineSource) {
-		m := src.NewMachine(batchTestConfig(), 1<<24, int64(i))
+	shuffles := map[*mem.FrameShuffle]bool{}
+	RunBatch(n, 3, ar, func(i int, src MachineSource) {
+		m := src.NewMachine(batchTestConfig(), 1<<24, 7)
 		hs[i] = m.H
+		shuffles[ar.shuffle] = true
 		m.Spawn("a", 0, nil, func(c *Core) {
 			buf := c.Alloc(mem.PageSize)
 			c.Load(buf)
 		})
 		m.Run()
 	})
-	distinct := map[*hier.Hierarchy]bool{}
-	for _, h := range hs {
-		distinct[h] = true
+	for i, h := range hs {
+		if h != hs[0] {
+			t.Fatalf("trial %d built a new hierarchy; want the first one recycled", i)
+		}
 	}
-	// Each of the width slots builds one hierarchy and recycles it for its
-	// remaining trials.
-	if len(distinct) != width {
-		t.Fatalf("batch of %d trials over %d slots built %d hierarchies; want %d",
-			n, width, len(distinct), width)
+	if len(shuffles) != 1 {
+		t.Fatalf("%d trials with one (size, seed) built %d frame shuffles; want 1", n, len(shuffles))
 	}
 }
 
 func TestBatchPanicAbortsFleet(t *testing.T) {
 	before := runtime.NumGoroutine()
+	ar := NewArena()
+	ran := 0
 	func() {
 		defer func() {
 			r := recover()
@@ -145,7 +162,8 @@ func TestBatchPanicAbortsFleet(t *testing.T) {
 				t.Fatalf("AgentError.Agent = %q, want %q", ae.Agent, "bomb")
 			}
 		}()
-		RunBatch(9, 3, NewArena(), func(i int, src MachineSource) {
+		RunBatch(9, 3, ar, func(i int, src MachineSource) {
+			ran++
 			m := src.NewMachine(batchTestConfig(), 1<<24, int64(i))
 			name := "worker"
 			if i == 4 {
@@ -173,7 +191,10 @@ func TestBatchPanicAbortsFleet(t *testing.T) {
 		})
 		t.Fatalf("RunBatch returned; want panic")
 	}()
-	// All slot and agent goroutines must be gone once the panic surfaces.
+	if ran != 5 {
+		t.Fatalf("%d trials ran; want the batch to stop after the panicking trial 4", ran)
+	}
+	// All agent goroutines must be gone once the panic surfaces.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		if g := runtime.NumGoroutine(); g <= before {
@@ -185,16 +206,26 @@ func TestBatchPanicAbortsFleet(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+	// The panicking trial's hierarchy went back to the arena; the next
+	// batch must recycle it without inheriting any of its state.
+	want := runEquivalenceTrials(3, freshTrials)
+	got := runEquivalenceTrials(3, func(n int, body func(i int, src MachineSource)) {
+		RunBatch(n, 1, ar, body)
+	})
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("arena reused after a panic diverges from fresh machines")
+	}
 }
 
 func TestRunBatchDegenerateWidths(t *testing.T) {
-	want := runEquivalenceTrials(3, SerialTrials)
-	for _, width := range []int{0, 1} {
+	want := runEquivalenceTrials(3, freshTrials)
+	// width is ignored: every value runs the same serial recycling loop.
+	for _, width := range []int{0, 1, 8} {
 		got := runEquivalenceTrials(3, func(n int, body func(i int, src MachineSource)) {
 			RunBatch(n, width, nil, body)
 		})
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("width %d serial fallback diverges from scalar", width)
+			t.Fatalf("width %d diverges from fresh machines", width)
 		}
 	}
 	// n <= 0 must be a no-op, not a hang.
@@ -203,37 +234,82 @@ func TestRunBatchDegenerateWidths(t *testing.T) {
 	})
 }
 
-// FuzzBatchScalarEquivalence drives randomized seeds and widths through
-// both kernels and requires identical fingerprints.
-func FuzzBatchScalarEquivalence(f *testing.F) {
-	f.Add(int64(42), uint8(3))
-	f.Add(int64(-7), uint8(1))
-	f.Add(int64(1<<40), uint8(8))
-	f.Fuzz(func(t *testing.T, seed int64, width uint8) {
-		w := int(width%8) + 1
-		const n = 4
-		trial := func(i int, src MachineSource) []int64 {
-			cfg := batchTestConfig()
-			s := seed + int64(i)*911
-			var fp []int64
-			m := src.NewMachine(cfg, 1<<24, s)
-			m.ScheduleTimerSpike("a", 300, 3000, 7, s)
-			m.Spawn("a", 0, nil, func(c *Core) {
-				buf := c.Alloc(2 * mem.PageSize)
-				for k := 0; k < 24; k++ {
-					fp = append(fp, c.TimedLoad(buf+mem.VAddr((k%9)*64)))
-				}
-				fp = append(fp, c.Now())
-			})
-			m.Run()
-			return fp
+// fuzzPlatforms are the geometries a fuzzed trial sequence draws from; the
+// hierarchy pool keys on geometry, so mixing them interleaves recycled and
+// freshly built hierarchies within one arena.
+var fuzzPlatforms = []func() hier.Config{testConfig, batchTestConfig, platform.Skylake, platform.KabyLake}
+
+// fuzzTrial is one trial of a fuzzed sequence. op selects the platform,
+// the memory size (so the arena's shuffle memo both hits and misses) and
+// the trial kind: plain timed loads, a fault-scheduled pair of agents, or a
+// traced run. It returns the latency fingerprint and, for traced trials,
+// the tracer that recorded the trial.
+func fuzzTrial(src MachineSource, seed int64, op byte) ([]int64, *trace.Tracer) {
+	cfg := fuzzPlatforms[int(op)%len(fuzzPlatforms)]()
+	memBytes := uint64(1<<24) << (op >> 2 & 1)
+	var fp []int64
+	m := src.NewMachine(cfg, memBytes, seed)
+	var tr *trace.Tracer
+	switch op >> 3 % 3 {
+	case 1:
+		m.SchedulePreempt("a", 200, 500)
+		m.ScheduleTimerSpike("b", 300, 3000, 7, seed)
+		m.SetClockDrift("b", 90)
+	case 2:
+		tr = trace.New("fuzz", trace.PkgAll)
+		m.SetTracer(tr)
+	}
+	m.Spawn("a", 0, nil, func(c *Core) {
+		buf := c.Alloc(2 * mem.PageSize)
+		for k := 0; k < 24; k++ {
+			fp = append(fp, c.TimedLoad(buf+mem.VAddr((k%9)*64)))
 		}
-		want := make([][]int64, n)
-		SerialTrials(n, func(i int, src MachineSource) { want[i] = trial(i, src) })
-		got := make([][]int64, n)
-		RunBatch(n, w, NewArena(), func(i int, src MachineSource) { got[i] = trial(i, src) })
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("batched fingerprints diverge from scalar (seed=%d width=%d)", seed, w)
+		fp = append(fp, c.Now())
+	})
+	m.Spawn("b", 1, nil, func(c *Core) {
+		buf := c.Alloc(2 * mem.PageSize)
+		for k := 0; k < 16; k++ {
+			fp = append(fp, c.TimedPrefetchNTA(buf+mem.VAddr((k%5)*64)))
+		}
+		fp = append(fp, c.TimedFlush(buf), c.Now())
+	})
+	m.Run()
+	return fp, tr
+}
+
+// FuzzRecycleFreshEquivalence drives random seed/platform/trial sequences
+// through one recycling arena and requires every trial's fingerprint and
+// trace event stream to match the same trial on a fresh machine. Event
+// streams are compared once the whole sequence has run, so a tracer that
+// survived recycling and kept recording later trials shows up too.
+func FuzzRecycleFreshEquivalence(f *testing.F) {
+	f.Add(int64(42), []byte{0, 9, 18, 3})
+	f.Add(int64(-7), []byte{17, 17, 4, 1, 16})
+	f.Add(int64(1<<40), []byte{2, 23, 12, 5, 10, 8})
+	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {
+		if len(ops) > 8 {
+			ops = ops[:8]
+		}
+		got := make([]*trace.Tracer, len(ops))
+		want := make([]*trace.Tracer, len(ops))
+		RunBatch(len(ops), 1, NewArena(), func(i int, src MachineSource) {
+			s := seed + int64(i)*911
+			var gotFP, wantFP []int64
+			gotFP, got[i] = fuzzTrial(src, s, ops[i])
+			wantFP, want[i] = fuzzTrial(freshSource{}, s, ops[i])
+			if !reflect.DeepEqual(gotFP, wantFP) {
+				t.Fatalf("trial %d (op %d): recycled fingerprint diverges from fresh", i, ops[i])
+			}
+		})
+		for i := range ops {
+			if got[i] == nil {
+				continue // untraced trial
+			}
+			g, w := got[i].Buffer().Events(), want[i].Buffer().Events()
+			if !reflect.DeepEqual(g, w) {
+				t.Fatalf("trial %d (op %d): recycled trace diverges from fresh (%d vs %d events)",
+					i, ops[i], len(g), len(w))
+			}
 		}
 	})
 }

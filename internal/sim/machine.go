@@ -49,14 +49,6 @@ type Machine struct {
 	// tr, when non-nil, receives sim events and is shared with the
 	// hierarchy; see SetTracer.
 	tr *trace.Tracer
-
-	// batch/slot/quantumEnd connect a machine built by a BatchMachine's
-	// MachineSource to the lockstep scheduler (batch.go): Run yields the
-	// slot's turn whenever the clock passes quantumEnd. All three are zero
-	// on scalar machines and the hook never fires.
-	batch      *BatchMachine
-	slot       int
-	quantumEnd int64
 }
 
 // SetTracer attaches an event sink to the machine and its hierarchy. The
@@ -198,13 +190,6 @@ func (m *Machine) Run() {
 		a := m.nextRunnable()
 		if a == nil {
 			break
-		}
-		if m.batch != nil && a.core.now > m.quantumEnd {
-			// Lockstep batching: this machine has used up its granted
-			// quantum; park the fleet slot until the scheduler's next
-			// grant. Scheduling never alters which agent runs next or any
-			// RNG draw, so batched output is byte-identical to scalar.
-			m.quantumEnd = m.batch.yield(m, a.core.now)
 		}
 		if m.tr != nil {
 			// Stamp the agent context so hier events emitted during this
