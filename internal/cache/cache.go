@@ -6,6 +6,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"leakyway/internal/mem"
 	"leakyway/internal/policy"
@@ -51,13 +52,17 @@ type Line struct {
 	InFlightUntil int64
 }
 
-// meta bit layout: bit 0 = valid, bit 1 = dirty, bits 2-3 = coherence state.
+// meta bit layout: bit 0 = dirty, bits 1-2 = coherence state. Validity
+// lives in the per-set valid-way bitmask, not here.
 const (
-	metaValid   = uint8(1 << 0)
-	metaDirty   = uint8(1 << 1)
-	metaCohShft = 2
+	metaDirty   = uint8(1 << 0)
+	metaCohShft = 1
 	metaCohMask = uint8(3 << metaCohShft)
 )
+
+// allSharers is what Sharers reports for a cache without the core-valid
+// lane: any core may hold a private copy.
+const allSharers = ^uint8(0)
 
 // Config describes one cache.
 type Config struct {
@@ -65,6 +70,11 @@ type Config struct {
 	Sets int
 	Ways int
 	Pol  policy.Policy
+	// CoreValid gives every line a byte of core-valid bits (see AddSharer),
+	// modelling the per-line core-valid bits of Intel's inclusive LLC. Only
+	// a cache that filters snoops needs it; the lane is not allocated
+	// otherwise.
+	CoreValid bool
 }
 
 // Stats counts cache events for diagnostics and experiments.
@@ -79,19 +89,27 @@ type Stats struct {
 // Cache is a single set-associative cache array.
 //
 // Line state is held as structure-of-arrays: a flat address array, a packed
-// valid/dirty/coherence byte per way, and the in-flight deadline array, each
-// indexed by set*ways+way. The split keeps the hot probe loop scanning a
-// contiguous uint64 lane (addresses) with a parallel one-byte metadata lane,
-// and — just as importantly — makes recycling cheap: the cache records which
-// sets were ever written, so Reset restores a heavily-used cache to its
-// freshly-built state by re-zeroing only those sets instead of the whole
-// multi-megabyte array. sim.Arena leans on that to run Monte-Carlo
-// trials without rebuilding a hierarchy per trial.
+// dirty/coherence byte per way, the in-flight deadline array and (optionally)
+// the core-valid byte, each indexed by set*ways+way, plus two per-set words:
+// the valid-way bitmask and an upper bound on the set's in-flight deadlines.
+// The split keeps the hot probe loop scanning a contiguous uint64 lane
+// (addresses) against one valid word, turns the free-way search into a bit
+// operation, and lets a fill skip the deadline scan whenever nothing in the
+// set can still be in flight. Just as importantly it makes recycling cheap:
+// the cache records which sets were ever written, so Reset restores a
+// heavily-used cache to its freshly-built state by re-zeroing only those
+// sets instead of the whole multi-megabyte array. sim.Arena leans on that to
+// run Monte-Carlo trials without rebuilding a hierarchy per trial.
 type Cache struct {
 	cfg   Config
+	all   policy.Mask    // every way of a set
 	addrs []mem.LineAddr // sets*ways line addresses
-	meta  []uint8        // sets*ways packed valid/dirty/coh
+	meta  []uint8        // sets*ways packed dirty/coh
 	ready []int64        // sets*ways in-flight deadlines
+	cv    []uint8        // sets*ways core-valid bits; nil unless cfg.CoreValid
+
+	valid    []policy.Mask // per set: bit w set iff way w holds a line
+	inflight []int64       // per set: no way's deadline exceeds this
 
 	states []policy.SetState
 
@@ -120,11 +138,17 @@ func New(cfg Config) *Cache {
 	n := cfg.Sets * cfg.Ways
 	c := &Cache{
 		cfg:       cfg,
+		all:       policy.AllWays(cfg.Ways),
 		addrs:     make([]mem.LineAddr, n),
 		meta:      make([]uint8, n),
 		ready:     make([]int64, n),
+		valid:     make([]policy.Mask, cfg.Sets),
+		inflight:  make([]int64, cfg.Sets),
 		states:    make([]policy.SetState, cfg.Sets),
 		isTouched: make([]bool, cfg.Sets),
+	}
+	if cfg.CoreValid {
+		c.cv = make([]uint8, n)
 	}
 	for i := range c.states {
 		c.states[i] = cfg.Pol.NewSet(cfg.Ways)
@@ -144,6 +168,11 @@ func (c *Cache) Reset() {
 			c.meta[i] = 0
 			c.ready[i] = 0
 		}
+		if c.cv != nil {
+			clear(c.cv[base : base+c.cfg.Ways])
+		}
+		c.valid[s] = 0
+		c.inflight[s] = 0
 		c.states[s].Reset()
 		c.isTouched[s] = false
 	}
@@ -178,8 +207,9 @@ func (c *Cache) ResetStats() { c.stats = Stats{} }
 // way index and whether the line is present.
 func (c *Cache) Probe(setIdx int, la mem.LineAddr) (way int, ok bool) {
 	base := setIdx * c.cfg.Ways
-	for w := 0; w < c.cfg.Ways; w++ {
-		if c.addrs[base+w] == la && c.meta[base+w]&metaValid != 0 {
+	valid := c.valid[setIdx]
+	for w, a := range c.addrs[base : base+c.cfg.Ways] {
+		if a == la && valid.Has(w) {
 			return w, true
 		}
 	}
@@ -209,10 +239,30 @@ func (c *Cache) SetCoh(setIdx, way int, s CohState) {
 	c.meta[i] = c.meta[i]&^metaCohMask | uint8(s)<<metaCohShft
 }
 
+// AddSharer sets core's bit in the line's core-valid byte: core now may
+// hold a private copy. It is a no-op on a cache without the lane.
+func (c *Cache) AddSharer(setIdx, way, core int) {
+	if c.cv != nil {
+		c.cv[setIdx*c.cfg.Ways+way] |= 1 << uint(core)
+	}
+}
+
+// Sharers returns the line's core-valid byte: a superset of the cores that
+// may hold a private copy. A cache without the lane reports every bit set.
+func (c *Cache) Sharers(setIdx, way int) uint8 {
+	if c.cv == nil {
+		return allSharers
+	}
+	return c.cv[setIdx*c.cfg.Ways+way]
+}
+
 // Evicted describes a line displaced by Fill.
 type Evicted struct {
 	Addr  mem.LineAddr
 	Dirty bool
+	// Sharers is the displaced line's core-valid byte (every bit set on a
+	// cache without the lane).
+	Sharers uint8
 }
 
 // Fill installs la into the given set with the given access class at time
@@ -224,7 +274,7 @@ type Evicted struct {
 // nothing can be replaced — the caller treats the fill as dropped, which is
 // how the paper describes conflicting in-flight prefetches behaving.
 func (c *Cache) Fill(setIdx int, la mem.LineAddr, cls policy.AccessClass, now, readyAt int64) (ev Evicted, evicted, ok bool) {
-	return c.FillRestricted(setIdx, la, cls, now, readyAt, policy.AllWays(c.cfg.Ways))
+	return c.FillRestricted(setIdx, la, cls, now, readyAt, c.all)
 }
 
 // FillRestricted is Fill with a way restriction: only ways in the allowed
@@ -233,44 +283,76 @@ func (c *Cache) Fill(setIdx int, la mem.LineAddr, cls policy.AccessClass, now, r
 // never displace another domain's lines. The mask form keeps the eviction
 // decision allocation-free — no closure is built per fill.
 func (c *Cache) FillRestricted(setIdx int, la mem.LineAddr, cls policy.AccessClass, now, readyAt int64, allowed policy.Mask) (ev Evicted, evicted, ok bool) {
-	// Mark before any state can change: even a dropped fill may have aged
-	// the set through the policy's victim search.
-	c.markTouched(setIdx)
-	base := setIdx * c.cfg.Ways
 	if w, present := c.Probe(setIdx, la); present {
 		// Already present (racing fills): treat as a hit refresh.
 		c.states[setIdx].OnHit(w, cls)
 		return Evicted{}, false, true
 	}
-	way := -1
-	for w := 0; w < c.cfg.Ways; w++ {
-		if c.meta[base+w]&metaValid == 0 && allowed.Has(w) {
-			way = w
-			break
-		}
-	}
+	way, ev, evicted := c.Install(setIdx, la, cls, now, readyAt, allowed)
+	return ev, evicted, way >= 0
+}
+
+// Install is FillRestricted for a caller that has just probed the set and
+// knows la is absent: it skips the duplicate check and returns the way that
+// received the line, or -1 when the fill was dropped.
+func (c *Cache) Install(setIdx int, la mem.LineAddr, cls policy.AccessClass, now, readyAt int64, allowed policy.Mask) (way int, ev Evicted, evicted bool) {
+	// Mark before any state can change: even a dropped fill may have aged
+	// the set through the policy's victim search.
+	c.markTouched(setIdx)
+	base := setIdx * c.cfg.Ways
+	way = c.freeWay(setIdx, allowed)
 	if way < 0 {
-		var evictable policy.Mask
-		for w := 0; w < c.cfg.Ways; w++ {
-			if c.ready[base+w] <= now {
-				evictable |= 1 << uint(w)
-			}
-		}
-		way = c.states[setIdx].Victim(evictable & allowed)
+		way = c.states[setIdx].Victim(c.evictable(setIdx, now) & allowed)
 		if way < 0 {
-			return Evicted{}, false, false
+			return -1, Evicted{}, false
 		}
-		ev = Evicted{Addr: c.addrs[base+way], Dirty: c.meta[base+way]&metaDirty != 0}
+		i := base + way
+		ev = Evicted{Addr: c.addrs[i], Dirty: c.meta[i]&metaDirty != 0, Sharers: c.Sharers(setIdx, way)}
 		evicted = true
 		c.stats.Evictions++
 		c.states[setIdx].OnInvalidate(way)
 	}
-	c.addrs[base+way] = la
-	c.meta[base+way] = metaValid
-	c.ready[base+way] = readyAt
+	i := base + way
+	c.addrs[i] = la
+	c.meta[i] = 0
+	c.ready[i] = readyAt
+	if c.cv != nil {
+		c.cv[i] = 0
+	}
+	c.valid[setIdx] |= 1 << uint(way)
+	c.inflight[setIdx] = max(c.inflight[setIdx], readyAt)
 	c.states[setIdx].OnFill(way, cls)
 	c.stats.Fills++
-	return ev, evicted, true
+	return way, ev, evicted
+}
+
+// freeWay returns the lowest invalid way in allowed, or -1.
+func (c *Cache) freeWay(setIdx int, allowed policy.Mask) int {
+	free := ^c.valid[setIdx] & allowed & c.all
+	if free == 0 {
+		return -1
+	}
+	return bits.TrailingZeros64(uint64(free))
+}
+
+// evictable returns the ways whose fills have completed by now. While the
+// set's deadline bound has passed that is every way and no per-way scan
+// runs; otherwise the scan also tightens the bound to the exact maximum.
+func (c *Cache) evictable(setIdx int, now int64) policy.Mask {
+	if c.inflight[setIdx] <= now {
+		return c.all
+	}
+	base := setIdx * c.cfg.Ways
+	var m policy.Mask
+	var bound int64
+	for w, r := range c.ready[base : base+c.cfg.Ways] {
+		if r <= now {
+			m |= 1 << uint(w)
+		}
+		bound = max(bound, r)
+	}
+	c.inflight[setIdx] = bound
+	return m
 }
 
 // Invalidate removes la from the set if present (flush or back-invalidation)
@@ -280,14 +362,24 @@ func (c *Cache) Invalidate(setIdx int, la mem.LineAddr) (present, dirty bool) {
 	if !ok {
 		return false, false
 	}
-	i := setIdx*c.cfg.Ways + w
+	return true, c.InvalidateWay(setIdx, w)
+}
+
+// InvalidateWay removes the line a Probe just found at way and reports
+// whether it was dirty.
+func (c *Cache) InvalidateWay(setIdx, way int) (dirty bool) {
+	i := setIdx*c.cfg.Ways + way
 	dirty = c.meta[i]&metaDirty != 0
 	c.addrs[i] = 0
 	c.meta[i] = 0
 	c.ready[i] = 0
-	c.states[setIdx].OnInvalidate(w)
+	if c.cv != nil {
+		c.cv[i] = 0
+	}
+	c.valid[setIdx] &^= 1 << uint(way)
+	c.states[setIdx].OnInvalidate(way)
 	c.stats.Flushes++
-	return true, dirty
+	return dirty
 }
 
 // AgeOf returns the replacement-policy metadata value (age/rank) of one
@@ -303,37 +395,26 @@ type View struct {
 	Meta  []int
 }
 
-// lineAt materializes the Line view of one way.
-func (c *Cache) lineAt(i int) Line {
-	return Line{
-		Addr:          c.addrs[i],
-		Valid:         c.meta[i]&metaValid != 0,
-		Dirty:         c.meta[i]&metaDirty != 0,
-		Coh:           CohState(c.meta[i]&metaCohMask) >> metaCohShft,
-		InFlightUntil: c.ready[i],
-	}
-}
-
 // ViewSet captures the current contents of one set.
 func (c *Cache) ViewSet(setIdx int) View {
 	v := View{Lines: make([]Line, c.cfg.Ways), Meta: c.states[setIdx].Snapshot()}
 	base := setIdx * c.cfg.Ways
 	for w := range v.Lines {
-		v.Lines[w] = c.lineAt(base + w)
+		i := base + w
+		v.Lines[w] = Line{
+			Addr:          c.addrs[i],
+			Valid:         c.valid[setIdx].Has(w),
+			Dirty:         c.meta[i]&metaDirty != 0,
+			Coh:           CohState(c.meta[i]&metaCohMask) >> metaCohShft,
+			InFlightUntil: c.ready[i],
+		}
 	}
 	return v
 }
 
 // Occupancy returns how many valid lines the set holds.
 func (c *Cache) Occupancy(setIdx int) int {
-	base := setIdx * c.cfg.Ways
-	n := 0
-	for w := 0; w < c.cfg.Ways; w++ {
-		if c.meta[base+w]&metaValid != 0 {
-			n++
-		}
-	}
-	return n
+	return bits.OnesCount64(uint64(c.valid[setIdx]))
 }
 
 // EvictionCandidate reports which line the policy would evict right now
@@ -352,22 +433,21 @@ func (c *Cache) EvictionCandidate(setIdx int) (mem.LineAddr, bool) {
 	if maxAge < 0 {
 		return 0, false
 	}
-	base := setIdx * c.cfg.Ways
 	for w := 0; w < c.cfg.Ways; w++ {
-		if st.AgeAt(w) == maxAge && c.meta[base+w]&metaValid != 0 {
-			return c.addrs[base+w], true
+		if st.AgeAt(w) == maxAge && c.valid[setIdx].Has(w) {
+			return c.addrs[setIdx*c.cfg.Ways+w], true
 		}
 	}
 	return 0, false
 }
 
-// Lookup is Probe + Touch for the common hit path; it reports whether the
-// access hit.
-func (c *Cache) Lookup(setIdx int, la mem.LineAddr, cls policy.AccessClass) bool {
+// Lookup is Probe + Touch for the common hit path; it returns the hit way
+// and whether the access hit.
+func (c *Cache) Lookup(setIdx int, la mem.LineAddr, cls policy.AccessClass) (way int, ok bool) {
 	if w, ok := c.Probe(setIdx, la); ok {
 		c.Touch(setIdx, w, cls)
-		return true
+		return w, true
 	}
 	c.stats.Misses++
-	return false
+	return -1, false
 }

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -244,5 +245,171 @@ func TestEvictionCandidatePredictsFillVictim(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// linearFreeWay is the free-way search the per-set valid bitmask replaced:
+// the first allowed way that holds no line. held is the test's own record
+// of the set's contents; the tests never use line 0, so an emptied way
+// (whose address is zeroed) is never mistaken for a held one.
+func linearFreeWay(c *Cache, setIdx int, held map[mem.LineAddr]bool, allowed policy.Mask) int {
+	base := setIdx * c.cfg.Ways
+	for w := 0; w < c.cfg.Ways; w++ {
+		if !held[c.addrs[base+w]] && allowed.Has(w) {
+			return w
+		}
+	}
+	return -1
+}
+
+// linearEvictable is the deadline scan the per-set in-flight bound
+// short-circuits: every way whose fill has completed by now.
+func linearEvictable(c *Cache, setIdx int, now int64) policy.Mask {
+	base := setIdx * c.cfg.Ways
+	var m policy.Mask
+	for w := 0; w < c.cfg.Ways; w++ {
+		if c.ready[base+w] <= now {
+			m |= 1 << uint(w)
+		}
+	}
+	return m
+}
+
+// TestWaySearchMatchesLinearScan checks the bitmask free-way choice and the
+// bounded evictable mask against the linear scans they replaced, under
+// random fills (with partition and random way masks, in-flight deadlines
+// and a clock that sometimes steps back), invalidates and resets.
+func TestWaySearchMatchesLinearScan(t *testing.T) {
+	const sets = 4
+	for _, ways := range []int{1, 4, 12, 16, 64} {
+		c := newTestCache(sets, ways)
+		held := make([]map[mem.LineAddr]bool, sets)
+		for s := range held {
+			held[s] = map[mem.LineAddr]bool{}
+		}
+		rng := rand.New(rand.NewSource(int64(ways)))
+		now := int64(1000)
+		for step := 0; step < 20000; step++ {
+			set := rng.Intn(sets)
+			now += int64(rng.Intn(50)) - 20
+			la := mem.LineAddr(1 + rng.Intn(3*ways))
+			switch r := rng.Intn(40); {
+			case r < 28:
+				allowed := policy.AllWays(ways)
+				switch rng.Intn(3) {
+				case 0: // one domain's block of a way-partitioned cache
+					n := 1 + rng.Intn(ways)
+					lo := rng.Intn(ways - n + 1)
+					allowed = policy.AllWays(lo+n) &^ policy.AllWays(lo)
+				case 1:
+					allowed = policy.Mask(rng.Uint64())
+				}
+				wantFree := linearFreeWay(c, set, held[set], allowed)
+				if got := c.freeWay(set, allowed); got != wantFree {
+					t.Fatalf("ways=%d step %d: freeWay = %d, linear scan %d", ways, step, got, wantFree)
+				}
+				wantEv := linearEvictable(c, set, now)
+				if got := c.evictable(set, now); got != wantEv {
+					t.Fatalf("ways=%d step %d: evictable = %b, linear scan %b", ways, step, got, wantEv)
+				}
+				ev, evicted, ok := c.FillRestricted(set, la, policy.ClassLoad, now, now+int64(rng.Intn(100)), allowed)
+				w, present := c.Probe(set, la)
+				switch {
+				case held[set][la]:
+					if !ok || evicted {
+						t.Fatalf("ways=%d step %d: refill of a held line evicted=%v ok=%v", ways, step, evicted, ok)
+					}
+				case wantFree >= 0:
+					if !ok || evicted || w != wantFree {
+						t.Fatalf("ways=%d step %d: fill landed in way %d (evicted=%v ok=%v), want free way %d", ways, step, w, evicted, ok, wantFree)
+					}
+				case ok:
+					if !evicted || !(wantEv & allowed).Has(w) || !held[set][ev.Addr] {
+						t.Fatalf("ways=%d step %d: victim way %d (%v) outside evictable %b & allowed %b", ways, step, w, ev.Addr, wantEv, allowed)
+					}
+					delete(held[set], ev.Addr)
+				default:
+					if (wantEv & allowed) != 0 {
+						t.Fatalf("ways=%d step %d: fill dropped with evictable ways %b", ways, step, wantEv&allowed)
+					}
+				}
+				if ok != present {
+					t.Fatalf("ways=%d step %d: fill ok=%v but line present=%v", ways, step, ok, present)
+				}
+				if ok {
+					held[set][la] = true
+				}
+			case r < 39:
+				if present, _ := c.Invalidate(set, la); present != held[set][la] {
+					t.Fatalf("ways=%d step %d: Invalidate present=%v, want %v", ways, step, present, held[set][la])
+				}
+				delete(held[set], la)
+			default:
+				c.Reset()
+				for s := range held {
+					clear(held[s])
+				}
+			}
+			if got := c.Occupancy(set); got != len(held[set]) {
+				t.Fatalf("ways=%d step %d: occupancy %d, want %d", ways, step, got, len(held[set]))
+			}
+			for w, ln := range c.ViewSet(set).Lines {
+				if ln.Valid != held[set][ln.Addr] {
+					t.Fatalf("ways=%d step %d: way %d (%v) valid=%v disagrees with the held set", ways, step, w, ln.Addr, ln.Valid)
+				}
+			}
+		}
+	}
+}
+
+func TestCoreValidLane(t *testing.T) {
+	c := New(Config{Name: "llc", Sets: 2, Ways: 2, Pol: policy.NewQuadAge(), CoreValid: true})
+	c.Fill(0, 1, policy.ClassLoad, 0, 0)
+	w, _ := c.Probe(0, 1)
+	if got := c.Sharers(0, w); got != 0 {
+		t.Fatalf("fresh line sharers = %08b, want none", got)
+	}
+	c.AddSharer(0, w, 0)
+	c.AddSharer(0, w, 7)
+	if got := c.Sharers(0, w); got != 0b1000_0001 {
+		t.Fatalf("sharers = %08b, want cores 0 and 7", got)
+	}
+	// Evicting the line reports its sharers; the way's new line has none.
+	c.Fill(0, 2, policy.ClassLoad, 0, 0)
+	c.AddSharer(0, 1-w, 3)
+	var ev Evicted
+	for la := mem.LineAddr(3); ev.Addr != 1; la++ {
+		ev, _, _ = c.Fill(0, la, policy.ClassLoad, 0, 0)
+	}
+	if ev.Sharers != 0b1000_0001 {
+		t.Fatalf("evicted sharers = %08b, want cores 0 and 7", ev.Sharers)
+	}
+	if got := c.Sharers(0, w); got != 0 {
+		t.Fatalf("replacement line inherited sharers %08b", got)
+	}
+	// Invalidate clears the bits; so does Reset, through the touched sets.
+	c.AddSharer(0, w, 2)
+	c.InvalidateWay(0, w)
+	if got := c.cv[w]; got != 0 {
+		t.Fatalf("invalidated way keeps sharers %08b", got)
+	}
+	c.Fill(1, 9, policy.ClassLoad, 0, 0)
+	c.AddSharer(1, 0, 5)
+	c.Reset()
+	for i, cv := range c.cv {
+		if cv != 0 {
+			t.Fatalf("Reset left sharers %08b at slot %d", cv, i)
+		}
+	}
+
+	// Without the lane every core may share, and AddSharer is a no-op.
+	plain := newTestCache(1, 1)
+	plain.Fill(0, 1, policy.ClassLoad, 0, 0)
+	plain.AddSharer(0, 0, 1)
+	if got := plain.Sharers(0, 0); got != allSharers {
+		t.Fatalf("lane-less sharers = %08b, want all", got)
+	}
+	if ev, _, _ := plain.Fill(0, 2, policy.ClassLoad, 0, 0); ev.Sharers != allSharers {
+		t.Fatalf("lane-less evicted sharers = %08b, want all", ev.Sharers)
 	}
 }

@@ -49,3 +49,23 @@ func BenchmarkHierPrefetchNTA(b *testing.B) {
 		now += res.Latency
 	}
 }
+
+// BenchmarkHierSharedEvict measures cross-core conflict traffic: four cores
+// take turns loading more congruent lines than the LLC set holds, so loads
+// miss the LLC and evict lines that other cores still hold privately — the
+// snoop and back-invalidation path every cross-core attack rests on.
+func BenchmarkHierSharedEvict(b *testing.B) {
+	cfg := testConfig()
+	cfg.Cores = 4
+	h := MustNew(cfg)
+	// A line count coprime with the core count rotates every line through
+	// every core.
+	lines := congruentLines(h, mem.PAddr(0x4040), cfg.LLCWays+3)
+	var now int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res := h.Load(i%cfg.Cores, lines[i%len(lines)], now)
+		now += res.Latency
+	}
+}

@@ -1,6 +1,8 @@
 package hier
 
 import (
+	"math/bits"
+
 	"leakyway/internal/cache"
 	"leakyway/internal/mem"
 )
@@ -14,16 +16,15 @@ import (
 // the attack package demonstrates it.
 
 // snoopLoad resolves a demand read that missed the requester's private
-// caches: remote Modified copies are downgraded to Shared (their dirtiness
-// propagating to the LLC copy), remote Exclusive copies degrade to Shared.
-// It returns the extra forwarding latency and whether any remote copy
-// exists (which decides Shared vs Exclusive fill for the requester).
-func (h *Hierarchy) snoopLoad(core int, la mem.LineAddr) (extra int64, shared bool) {
+// caches against the other cores in sharers: remote Modified copies are
+// downgraded to Shared (their dirtiness propagating to the LLC copy),
+// remote Exclusive copies degrade to Shared. It returns the extra
+// forwarding latency and whether any remote copy exists (which decides
+// Shared vs Exclusive fill for the requester).
+func (h *Hierarchy) snoopLoad(core int, la mem.LineAddr, sharers uint8) (extra int64, shared bool) {
 	l1Set, l2Set := h.l1Set(la), h.l2Set(la)
-	for c := 0; c < h.cfg.Cores; c++ {
-		if c == core {
-			continue
-		}
+	for m := sharers &^ (1 << uint(core)); m != 0; m &= m - 1 {
+		c := bits.TrailingZeros8(m)
 		found, modified := h.snoopPrivate(h.l1[c], l1Set, la)
 		if found {
 			shared = true
@@ -64,47 +65,50 @@ func (h *Hierarchy) snoopPrivate(pc *cache.Cache, set int, la mem.LineAddr) (fou
 }
 
 // invalidateRemote removes every other core's private copy of la (the RFO /
-// upgrade step of a store). It returns the invalidation latency if any copy
+// upgrade step of a store), probing only the cores the LLC line's
+// core-valid bits name. It returns the invalidation latency if any copy
 // existed. A remote Modified copy first forwards its data.
 func (h *Hierarchy) invalidateRemote(core int, la mem.LineAddr) (extra int64) {
-	for c := 0; c < h.cfg.Cores; c++ {
-		if c == core {
-			continue
-		}
-		if w, ok := h.l1[c].Probe(h.l1Set(la), la); ok {
-			if h.l1[c].Coh(h.l1Set(la), w) == cache.CohModified {
-				h.markLLCDirty(la)
-				extra = h.cfg.Lat.CohTransfer
-			}
-			h.l1[c].Invalidate(h.l1Set(la), la)
-			if extra == 0 {
-				extra = h.cfg.Lat.CohInval
-			}
-		}
-		if w, ok := h.l2[c].Probe(h.l2Set(la), la); ok {
-			if h.l2[c].Coh(h.l2Set(la), w) == cache.CohModified {
-				h.markLLCDirty(la)
-				extra = h.cfg.Lat.CohTransfer
-			}
-			h.l2[c].Invalidate(h.l2Set(la), la)
-			if extra == 0 {
-				extra = h.cfg.Lat.CohInval
-			}
-		}
+	slice, set := h.loc.Locate(la)
+	w, _ := h.llc[slice].Probe(set, la)
+	for m := h.sharers(slice, set, w) &^ (1 << uint(core)); m != 0; m &= m - 1 {
+		c := bits.TrailingZeros8(m)
+		extra = h.dropRemote(h.l1[c], h.l1Set(la), la, extra)
+		extra = h.dropRemote(h.l2[c], h.l2Set(la), la, extra)
 	}
 	return extra
 }
 
-// setPrivCoh sets the coherence state on the requester's private copies.
-func (h *Hierarchy) setPrivCoh(core int, la mem.LineAddr, st cache.CohState) {
-	if w, ok := h.l1[core].Probe(h.l1Set(la), la); ok {
-		h.l1[core].SetCoh(h.l1Set(la), w, st)
+// dropRemote invalidates one remote private copy of la for invalidateRemote
+// and returns the updated invalidation latency.
+func (h *Hierarchy) dropRemote(pc *cache.Cache, set int, la mem.LineAddr, extra int64) int64 {
+	w, ok := pc.Probe(set, la)
+	if !ok {
+		return extra
+	}
+	if pc.Coh(set, w) == cache.CohModified {
+		h.markLLCDirty(la)
+		extra = h.cfg.Lat.CohTransfer
+	}
+	pc.InvalidateWay(set, w)
+	if extra == 0 {
+		extra = h.cfg.Lat.CohInval
+	}
+	return extra
+}
+
+// setPrivCoh sets the coherence state on the requester's private copies at
+// L1 way w1 and L2 way w2 (a negative way: no copy at that level). A
+// Modified L1 copy is also marked dirty.
+func (h *Hierarchy) setPrivCoh(core int, la mem.LineAddr, w1, w2 int, st cache.CohState) {
+	if w1 >= 0 {
+		h.l1[core].SetCoh(h.l1Set(la), w1, st)
 		if st == cache.CohModified {
-			h.l1[core].MarkDirty(h.l1Set(la), w)
+			h.l1[core].MarkDirty(h.l1Set(la), w1)
 		}
 	}
-	if w, ok := h.l2[core].Probe(h.l2Set(la), la); ok {
-		h.l2[core].SetCoh(h.l2Set(la), w, st)
+	if w2 >= 0 {
+		h.l2[core].SetCoh(h.l2Set(la), w2, st)
 	}
 }
 

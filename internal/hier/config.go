@@ -13,6 +13,10 @@ import (
 	"leakyway/internal/policy"
 )
 
+// MaxCores is the largest core count a hierarchy models: each inclusive LLC
+// line tracks its sharers in one byte of core-valid bits.
+const MaxCores = 8
+
 // Config describes one simulated processor.
 type Config struct {
 	// Name labels the platform in output ("Skylake (i7-6700)").
@@ -85,6 +89,9 @@ type HWPrefetchConfig struct {
 func (c *Config) Validate() error {
 	if c.Cores <= 0 {
 		return fmt.Errorf("hier: Cores must be positive, got %d", c.Cores)
+	}
+	if c.Cores > MaxCores {
+		return fmt.Errorf("hier: Cores must be at most %d (one core-valid bit per core in a byte), got %d", MaxCores, c.Cores)
 	}
 	for _, g := range []struct {
 		name string

@@ -2,6 +2,7 @@ package hier
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"leakyway/internal/cache"
@@ -70,6 +71,8 @@ type Hierarchy struct {
 	partMask []policy.Mask
 	// allWaysLLC is the unrestricted LLC fill mask.
 	allWaysLLC policy.Mask
+	// allCores has one bit per core: the snoop set when nothing filters it.
+	allCores uint8
 
 	// tr, when non-nil, receives hier events; trAgent/trCore stamp the
 	// agent context (see trace.go).
@@ -107,6 +110,7 @@ func New(cfg Config) (*Hierarchy, error) {
 		l1SetMask:  setIndexMask(cfg.L1Sets),
 		l2SetMask:  setIndexMask(cfg.L2Sets),
 		allWaysLLC: policy.AllWays(cfg.LLCWays),
+		allCores:   uint8(policy.AllWays(cfg.Cores)),
 	}
 	if n := cfg.LLCPartitionWays; n > 0 {
 		h.partMask = make([]policy.Mask, cfg.Cores)
@@ -125,6 +129,7 @@ func New(cfg Config) (*Hierarchy, error) {
 	for s := 0; s < cfg.LLCSlices; s++ {
 		h.llc = append(h.llc, cache.New(cache.Config{
 			Name: fmt.Sprintf("LLC.%d", s), Sets: cfg.LLCSetsPerSlice, Ways: cfg.LLCWays, Pol: cfg.LLCPolicy,
+			CoreValid: !cfg.NonInclusive,
 		}))
 	}
 	if cfg.NonInclusive && cfg.DirectoryWays > 0 {
@@ -191,7 +196,7 @@ func (h *Hierarchy) Load(core int, pa mem.PAddr, now int64) Result {
 
 	// L1 hit: private hit, no LLC state change (the property Prime+Scope
 	// depends on: scoping the candidate from L1 leaves its LLC age alone).
-	if h.lookupTraced(h.l1[core], LevelL1, -1, h.l1Set(la), la, policy.ClassLoad, now) {
+	if _, ok := h.lookupTraced(h.l1[core], LevelL1, -1, h.l1Set(la), la, policy.ClassLoad, now); ok {
 		return Result{Level: LevelL1, Latency: sample(h.rng, lat.L1Hit, lat.L1Jit)}
 	}
 	h.hwPrefetch(core, la, now)
@@ -200,42 +205,41 @@ func (h *Hierarchy) Load(core int, pa mem.PAddr, now int64) Result {
 	// still no LLC change.
 	if w, ok := h.l2[core].Probe(h.l2Set(la), la); ok {
 		st := h.l2[core].Coh(h.l2Set(la), w)
-		h.lookupTraced(h.l2[core], LevelL2, -1, h.l2Set(la), la, policy.ClassLoad, now)
+		h.touchTraced(h.l2[core], LevelL2, -1, h.l2Set(la), w, la, policy.ClassLoad, now, "")
 		l := sample(h.rng, lat.L2Hit, lat.L2Jit)
-		h.fillL1(core, la, policy.ClassLoad, now, now+l)
-		h.setPrivCoh(core, la, st)
+		h.setPrivCoh(core, la, h.fillL1(core, la, policy.ClassLoad, now, now+l), -1, st)
 		return Result{Level: LevelL2, Latency: l}
 	}
 
 	// Past the private caches: resolve coherence with the other cores
 	// (a remote Modified copy forwards with a latency penalty; any remote
-	// copy makes the requester's fill Shared rather than Exclusive).
-	extra, sharedRem := h.snoopLoad(core, la)
+	// copy makes the requester's fill Shared rather than Exclusive). Only
+	// the cores the LLC line's core-valid bits name can hold a copy.
+	slice, set := h.loc.Locate(la)
+	w, hit := h.lookupTraced(h.llc[slice], LevelLLC, slice, set, la, policy.ClassLoad, now)
+	extra, sharedRem := h.snoopLoad(core, la, h.sharers(slice, set, w))
 	st := cache.CohExclusive
 	if sharedRem {
 		st = cache.CohShared
 	}
 
-	// LLC hit: demand hit updates the line's age (decrement), refills the
+	// LLC hit: the lookup updated the line's age (decrement); refill the
 	// private levels.
-	slice, set := h.loc.Locate(la)
-	if h.lookupTraced(h.llc[slice], LevelLLC, slice, set, la, policy.ClassLoad, now) {
-		l := sample(h.rng, lat.LLCHit, lat.LLCJit) + extra
-		h.fillL2(core, la, policy.ClassLoad, now, now+l)
-		h.fillL1(core, la, policy.ClassLoad, now, now+l)
-		h.setPrivCoh(core, la, st)
-		return Result{Level: LevelLLC, Latency: l}
+	var level Level
+	var l int64
+	if hit {
+		level, l = LevelLLC, sample(h.rng, lat.LLCHit, lat.LLCJit)+extra
+		h.llc[slice].AddSharer(set, w, core)
+	} else {
+		// DRAM: fill the inclusive LLC first, then the private levels.
+		level, l = LevelMem, sample(h.rng, lat.Mem, lat.MemJit)+extra
+		if !h.fillLLC(core, slice, set, la, policy.ClassLoad, now, now+l) {
+			return Result{Level: LevelMem, Latency: l, Dropped: true}
+		}
 	}
-
-	// DRAM: fill the inclusive LLC first, then the private levels.
-	l := sample(h.rng, lat.Mem, lat.MemJit) + extra
-	if !h.fillLLC(core, la, policy.ClassLoad, now, now+l) {
-		return Result{Level: LevelMem, Latency: l, Dropped: true}
-	}
-	h.fillL2(core, la, policy.ClassLoad, now, now+l)
-	h.fillL1(core, la, policy.ClassLoad, now, now+l)
-	h.setPrivCoh(core, la, st)
-	return Result{Level: LevelMem, Latency: l}
+	w2 := h.fillL2(core, la, policy.ClassLoad, now, now+l)
+	h.setPrivCoh(core, la, h.fillL1(core, la, policy.ClassLoad, now, now+l), w2, st)
+	return Result{Level: level, Latency: l}
 }
 
 // Store is a demand store: it obtains the line in Modified state. A hit on
@@ -245,30 +249,22 @@ func (h *Hierarchy) Load(core int, pa mem.PAddr, now int64) Result {
 func (h *Hierarchy) Store(core int, pa mem.PAddr, now int64) Result {
 	h.checkCore(core)
 	la := pa.Line()
-	if w, ok := h.l1[core].Probe(h.l1Set(la), la); ok {
-		st := h.l1[core].Coh(h.l1Set(la), w)
-		traced := h.tr.On(trace.PkgHier)
-		ageBefore := -1
-		if traced {
-			ageBefore = h.l1[core].AgeOf(h.l1Set(la), w)
-		}
-		h.l1[core].Touch(h.l1Set(la), w, policy.ClassLoad)
-		if traced {
-			e := h.hierEvent("hit", LevelL1, -1, h.l1Set(la), now)
-			e.Way, e.AgeBefore, e.AgeAfter = w, ageBefore, h.l1[core].AgeOf(h.l1Set(la), w)
-			e.Addr, e.Note = uint64(la), "store"
-			h.tr.Emit(e)
-		}
-		l := sample(h.rng, h.cfg.Lat.L1Hit, h.cfg.Lat.L1Jit)
+	var res Result
+	w1, hit := h.l1[core].Probe(h.l1Set(la), la)
+	if hit {
+		st := h.l1[core].Coh(h.l1Set(la), w1)
+		h.touchTraced(h.l1[core], LevelL1, -1, h.l1Set(la), w1, la, policy.ClassLoad, now, "store")
+		res = Result{Level: LevelL1, Latency: sample(h.rng, h.cfg.Lat.L1Hit, h.cfg.Lat.L1Jit)}
 		if st == cache.CohShared {
-			l += h.invalidateRemote(core, la)
+			res.Latency += h.invalidateRemote(core, la)
 		}
-		h.setPrivCoh(core, la, cache.CohModified)
-		return Result{Level: LevelL1, Latency: l}
+	} else {
+		res = h.Load(core, pa, now)
+		res.Latency += h.invalidateRemote(core, la)
+		w1, _ = h.l1[core].Probe(h.l1Set(la), la)
 	}
-	res := h.Load(core, pa, now)
-	res.Latency += h.invalidateRemote(core, la)
-	h.setPrivCoh(core, la, cache.CohModified)
+	w2, _ := h.l2[core].Probe(h.l2Set(la), la)
+	h.setPrivCoh(core, la, w1, w2, cache.CohModified)
 	return res
 }
 
@@ -286,18 +282,19 @@ func (h *Hierarchy) PrefetchNTA(core int, pa mem.PAddr, now int64) Result {
 	la := pa.Line()
 	lat := &h.cfg.Lat
 
-	if h.lookupTraced(h.l1[core], LevelL1, -1, h.l1Set(la), la, policy.ClassNTA, now) {
+	if _, ok := h.lookupTraced(h.l1[core], LevelL1, -1, h.l1Set(la), la, policy.ClassNTA, now); ok {
 		return Result{Level: LevelL1, Latency: sample(h.rng, lat.L1Hit, lat.L1Jit)}
 	}
-	if h.lookupTraced(h.l2[core], LevelL2, -1, h.l2Set(la), la, policy.ClassNTA, now) {
+	if _, ok := h.lookupTraced(h.l2[core], LevelL2, -1, h.l2Set(la), la, policy.ClassNTA, now); ok {
 		l := sample(h.rng, lat.L2Hit, lat.L2Jit)
 		h.fillL1(core, la, policy.ClassNTA, now, now+l)
 		return Result{Level: LevelL2, Latency: l}
 	}
 	slice, set := h.loc.Locate(la)
-	if h.lookupTraced(h.llc[slice], LevelLLC, slice, set, la, policy.ClassNTA, now) {
+	if w, ok := h.lookupTraced(h.llc[slice], LevelLLC, slice, set, la, policy.ClassNTA, now); ok {
 		// ClassNTA hit: QuadAge leaves the age untouched (Property #2).
 		l := sample(h.rng, lat.LLCHit, lat.LLCJit)
+		h.llc[slice].AddSharer(set, w, core)
 		h.fillL1(core, la, policy.ClassNTA, now, now+l)
 		return Result{Level: LevelLLC, Latency: l}
 	}
@@ -310,7 +307,7 @@ func (h *Hierarchy) PrefetchNTA(core int, pa mem.PAddr, now int64) Result {
 		h.fillL1(core, la, policy.ClassNTA, now, now+l)
 		return Result{Level: LevelMem, Latency: l}
 	}
-	if !h.fillLLC(core, la, policy.ClassNTA, now, now+l) {
+	if !h.fillLLC(core, slice, set, la, policy.ClassNTA, now, now+l) {
 		return Result{Level: LevelMem, Latency: l, Dropped: true}
 	}
 	h.fillL1(core, la, policy.ClassNTA, now, now+l)
@@ -324,38 +321,43 @@ func (h *Hierarchy) PrefetchT0(core int, pa mem.PAddr, now int64) Result {
 	h.checkCore(core)
 	la := pa.Line()
 	lat := &h.cfg.Lat
-	if h.lookupTraced(h.l1[core], LevelL1, -1, h.l1Set(la), la, policy.ClassT0, now) {
+	if _, ok := h.lookupTraced(h.l1[core], LevelL1, -1, h.l1Set(la), la, policy.ClassT0, now); ok {
 		return Result{Level: LevelL1, Latency: sample(h.rng, lat.L1Hit, lat.L1Jit)}
 	}
-	if h.lookupTraced(h.l2[core], LevelL2, -1, h.l2Set(la), la, policy.ClassT0, now) {
+	if _, ok := h.lookupTraced(h.l2[core], LevelL2, -1, h.l2Set(la), la, policy.ClassT0, now); ok {
 		l := sample(h.rng, lat.L2Hit, lat.L2Jit)
 		h.fillL1(core, la, policy.ClassT0, now, now+l)
 		return Result{Level: LevelL2, Latency: l}
 	}
 	slice, set := h.loc.Locate(la)
-	if h.lookupTraced(h.llc[slice], LevelLLC, slice, set, la, policy.ClassT0, now) {
-		l := sample(h.rng, lat.LLCHit, lat.LLCJit)
-		h.fillL2(core, la, policy.ClassT0, now, now+l)
-		h.fillL1(core, la, policy.ClassT0, now, now+l)
-		return Result{Level: LevelLLC, Latency: l}
-	}
-	l := sample(h.rng, lat.Mem, lat.MemJit)
-	if !h.fillLLC(core, la, policy.ClassT0, now, now+l) {
-		return Result{Level: LevelMem, Latency: l, Dropped: true}
+	var level Level
+	var l int64
+	if w, ok := h.lookupTraced(h.llc[slice], LevelLLC, slice, set, la, policy.ClassT0, now); ok {
+		level, l = LevelLLC, sample(h.rng, lat.LLCHit, lat.LLCJit)
+		h.llc[slice].AddSharer(set, w, core)
+	} else {
+		level, l = LevelMem, sample(h.rng, lat.Mem, lat.MemJit)
+		if !h.fillLLC(core, slice, set, la, policy.ClassT0, now, now+l) {
+			return Result{Level: LevelMem, Latency: l, Dropped: true}
+		}
 	}
 	h.fillL2(core, la, policy.ClassT0, now, now+l)
 	h.fillL1(core, la, policy.ClassT0, now, now+l)
-	return Result{Level: LevelMem, Latency: l}
+	return Result{Level: level, Latency: l}
 }
 
 // Flush is CLFLUSH: it removes the line from every cache in the system and
 // reports a latency that depends on whether (and how) the line was cached,
-// which is what Flush+Flush-style timing keys on.
+// which is what Flush+Flush-style timing keys on. Only the cores the LLC
+// line's core-valid bits name are probed.
 func (h *Hierarchy) Flush(pa mem.PAddr, now int64) Result {
 	la := pa.Line()
 	lat := &h.cfg.Lat
+	slice, set := h.loc.Locate(la)
+	w, inLLC := h.llc[slice].Probe(set, la)
 	present, dirty := false, false
-	for c := 0; c < h.cfg.Cores; c++ {
+	for m := h.sharers(slice, set, w); m != 0; m &= m - 1 {
+		c := bits.TrailingZeros8(m)
 		if p, d := h.l1[c].Invalidate(h.l1Set(la), la); p {
 			present, dirty = true, dirty || d
 		}
@@ -363,9 +365,8 @@ func (h *Hierarchy) Flush(pa mem.PAddr, now int64) Result {
 			present, dirty = true, dirty || d
 		}
 	}
-	slice, set := h.loc.Locate(la)
-	if p, d := h.llc[slice].Invalidate(set, la); p {
-		present, dirty = true, dirty || d
+	if inLLC {
+		present, dirty = true, h.llc[slice].InvalidateWay(set, w) || dirty
 	}
 	h.dirDrop(la)
 	base := lat.FlushAbsent
@@ -399,26 +400,32 @@ func (h *Hierarchy) FenceLatency() int64 { return h.cfg.Lat.Fence }
 
 // fillL1 installs la into core's L1 (evictions are silent; a dirty victim
 // propagates its dirtiness to an L2/LLC copy when present). The coherence
-// directory, when present, tracks the fill.
-func (h *Hierarchy) fillL1(core int, la mem.LineAddr, cls policy.AccessClass, now, ready int64) {
-	h.fillMeta(h.l1[core], h.l1Set(la))
-	ev, evicted, _ := h.l1[core].Fill(h.l1Set(la), la, cls, now, ready)
-	h.traceFill(h.l1[core], LevelL1, -1, h.l1Set(la), la, ev, evicted, true, now)
+// directory, when present, tracks the fill. Like every fill helper it
+// requires that the caller has just missed on la at this level, and it
+// returns the way that received the line (-1: the fill was dropped).
+func (h *Hierarchy) fillL1(core int, la mem.LineAddr, cls policy.AccessClass, now, ready int64) int {
+	set := h.l1Set(la)
+	h.fillMeta(h.l1[core], set)
+	w, ev, evicted := h.l1[core].Install(set, la, cls, now, ready, policy.AllWays(h.cfg.L1Ways))
+	h.traceFill(h.l1[core], LevelL1, -1, set, la, w, ev, evicted, now)
 	if evicted && ev.Dirty {
 		h.propagateDirty(core, ev.Addr)
 	}
 	h.dirTouch(la, cls, now, ready)
+	return w
 }
 
 // fillL2 installs la into core's L2 (non-inclusive: evictions do not touch
-// the L1).
-func (h *Hierarchy) fillL2(core int, la mem.LineAddr, cls policy.AccessClass, now, ready int64) {
-	h.fillMeta(h.l2[core], h.l2Set(la))
-	ev, evicted, _ := h.l2[core].Fill(h.l2Set(la), la, cls, now, ready)
-	h.traceFill(h.l2[core], LevelL2, -1, h.l2Set(la), la, ev, evicted, true, now)
+// the L1) and returns the way, as fillL1 does.
+func (h *Hierarchy) fillL2(core int, la mem.LineAddr, cls policy.AccessClass, now, ready int64) int {
+	set := h.l2Set(la)
+	h.fillMeta(h.l2[core], set)
+	w, ev, evicted := h.l2[core].Install(set, la, cls, now, ready, policy.AllWays(h.cfg.L2Ways))
+	h.traceFill(h.l2[core], LevelL2, -1, set, la, w, ev, evicted, now)
 	if evicted && ev.Dirty {
 		h.propagateDirty(core, ev.Addr)
 	}
+	return w
 }
 
 // propagateDirty marks a written-back victim's outer copy dirty.
@@ -427,45 +434,59 @@ func (h *Hierarchy) propagateDirty(core int, la mem.LineAddr) {
 		h.l2[core].MarkDirty(h.l2Set(la), w)
 		return
 	}
-	slice, set := h.loc.Locate(la)
-	if w, ok := h.llc[slice].Probe(set, la); ok {
-		h.llc[slice].MarkDirty(set, w)
-	}
+	h.markLLCDirty(la)
 }
 
-// fillLLC installs la into the LLC on behalf of core and enforces
-// inclusion: the displaced line is back-invalidated from every private
-// cache. Under way partitioning the fill is restricted to the core's own
-// ways. Returns false when the fill was dropped because no permitted way
-// could be replaced.
-func (h *Hierarchy) fillLLC(core int, la mem.LineAddr, cls policy.AccessClass, now, ready int64) bool {
-	slice, set := h.loc.Locate(la)
+// fillLLC installs la, which the caller has just missed on, into LLC set
+// (slice, set) on behalf of core and records core as a sharer of the new
+// line. It enforces inclusion: the displaced line is back-invalidated from
+// the private caches of its sharers. Under way partitioning the fill is
+// restricted to the core's own ways. Returns false when the fill was
+// dropped because no permitted way could be replaced.
+func (h *Hierarchy) fillLLC(core, slice, set int, la mem.LineAddr, cls policy.AccessClass, now, ready int64) bool {
 	allowed := h.allWaysLLC
 	if h.partMask != nil {
 		allowed = h.partMask[core]
 	}
 	h.fillMeta(h.llc[slice], set)
-	ev, evicted, ok := h.llc[slice].FillRestricted(set, la, cls, now, ready, allowed)
-	h.traceFill(h.llc[slice], LevelLLC, slice, set, la, ev, evicted, ok, now)
-	if !ok {
+	w, ev, evicted := h.llc[slice].Install(set, la, cls, now, ready, allowed)
+	h.traceFill(h.llc[slice], LevelLLC, slice, set, la, w, ev, evicted, now)
+	if w < 0 {
 		return false
 	}
+	h.llc[slice].AddSharer(set, w, core)
 	if evicted {
-		h.backInvalidate(ev.Addr, now)
+		h.backInvalidate(ev, now)
 	}
 	return true
 }
 
-// backInvalidate removes a line evicted from the inclusive LLC from every
-// core's private caches — the mechanism that makes cross-core LLC attacks
-// observable at all. Non-inclusive LLCs skip it: private copies outlive the
-// LLC line.
-func (h *Hierarchy) backInvalidate(la mem.LineAddr, now int64) {
+// sharers returns the cores whose private caches may hold the line at way w
+// of LLC set (slice, set), w < 0 meaning the LLC does not hold it. On an
+// inclusive LLC that is the line's core-valid bits, and nobody when the
+// line is absent; a non-inclusive LLC rules out no core.
+func (h *Hierarchy) sharers(slice, set, w int) uint8 {
+	switch {
+	case h.cfg.NonInclusive:
+		return h.allCores
+	case w < 0:
+		return 0
+	}
+	return h.llc[slice].Sharers(set, w)
+}
+
+// backInvalidate removes a line evicted from the inclusive LLC from the
+// private caches of every core its core-valid bits name — the mechanism
+// that makes cross-core LLC attacks observable at all. Non-inclusive LLCs
+// skip it: private copies outlive the LLC line.
+func (h *Hierarchy) backInvalidate(ev cache.Evicted, now int64) {
 	if h.cfg.NonInclusive {
 		return
 	}
+	la := ev.Addr
 	traced := h.tr.On(trace.PkgHier)
-	for c := 0; c < h.cfg.Cores; c++ {
+	for m := ev.Sharers; m != 0; m &= m - 1 {
+		c := bits.TrailingZeros8(m)
 		p1, _ := h.l1[c].Invalidate(h.l1Set(la), la)
 		p2, _ := h.l2[c].Invalidate(h.l2Set(la), la)
 		if !traced {

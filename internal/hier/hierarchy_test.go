@@ -1,6 +1,7 @@
 package hier
 
 import (
+	"strings"
 	"testing"
 
 	"leakyway/internal/mem"
@@ -266,20 +267,33 @@ func TestDroppedFillWhenAllInFlight(t *testing.T) {
 }
 
 func TestConfigValidate(t *testing.T) {
-	bad := testConfig()
-	bad.Cores = 0
-	if _, err := New(bad); err == nil {
-		t.Error("Cores=0 accepted")
+	cases := []struct {
+		name   string
+		mutate func(*Config)
+		msg    string // fragment of the error; "" means the config is valid
+	}{
+		{"default", func(*Config) {}, ""},
+		{"zero cores", func(c *Config) { c.Cores = 0 }, "Cores must be positive"},
+		{"zero LLC ways", func(c *Config) { c.LLCWays = 0 }, "LLCWays must be positive"},
+		{"zero frequency", func(c *Config) { c.FreqGHz = 0 }, "FreqGHz must be positive"},
+		{"eight cores", func(c *Config) { c.Cores = MaxCores }, ""},
+		{"nine cores", func(c *Config) { c.Cores = MaxCores + 1 }, "Cores must be at most 8"},
+		{"nine cores non-inclusive", func(c *Config) { c.Cores, c.NonInclusive = 9, true }, "Cores must be at most 8"},
 	}
-	bad = testConfig()
-	bad.LLCWays = 0
-	if _, err := New(bad); err == nil {
-		t.Error("LLCWays=0 accepted")
-	}
-	bad = testConfig()
-	bad.FreqGHz = 0
-	if _, err := New(bad); err == nil {
-		t.Error("FreqGHz=0 accepted")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig()
+			tc.mutate(&cfg)
+			_, err := New(cfg)
+			switch {
+			case tc.msg == "" && err != nil:
+				t.Fatalf("rejected: %v", err)
+			case tc.msg != "" && err == nil:
+				t.Fatal("accepted")
+			case tc.msg != "" && !strings.Contains(err.Error(), tc.msg):
+				t.Fatalf("error %q does not mention %q", err, tc.msg)
+			}
+		})
 	}
 }
 

@@ -107,13 +107,14 @@ func (h *Hierarchy) hwPrefetch(core int, la mem.LineAddr, now int64) {
 			continue
 		}
 		slice, set := h.loc.Locate(target)
-		if _, ok := h.llc[slice].Probe(set, target); ok {
+		if w, ok := h.llc[slice].Probe(set, target); ok {
 			// Already in LLC: just pull into L2.
+			h.llc[slice].AddSharer(set, w, core)
 			h.fillL2(core, target, policy.ClassHW, now, now+h.cfg.Lat.LLCHit)
 			continue
 		}
 		ready := now + h.cfg.Lat.Mem
-		if h.fillLLC(core, target, policy.ClassHW, now, ready) {
+		if h.fillLLC(core, slice, set, target, policy.ClassHW, now, ready) {
 			h.fillL2(core, target, policy.ClassHW, now, ready)
 		}
 	}

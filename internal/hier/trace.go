@@ -35,26 +35,34 @@ func (h *Hierarchy) hierEvent(kind string, lvl Level, slice, set int, now int64)
 // lookupTraced is cache.Lookup plus hit/miss events carrying the way and
 // the replacement age before/after the touch. The untraced path is
 // exactly c.Lookup — same stats, same policy updates.
-func (h *Hierarchy) lookupTraced(c *cache.Cache, lvl Level, slice, set int, la mem.LineAddr, cls policy.AccessClass, now int64) bool {
+func (h *Hierarchy) lookupTraced(c *cache.Cache, lvl Level, slice, set int, la mem.LineAddr, cls policy.AccessClass, now int64) (int, bool) {
 	if !h.tr.On(trace.PkgHier) {
 		return c.Lookup(set, la, cls)
 	}
-	way, present := c.Probe(set, la)
-	ageBefore := -1
-	if present {
-		ageBefore = c.AgeOf(set, way)
+	if way, present := c.Probe(set, la); present {
+		h.touchTraced(c, lvl, slice, set, way, la, cls, now, "")
+		return way, true
 	}
-	hit := c.Lookup(set, la, cls)
-	var e trace.Event
-	if hit {
-		e = h.hierEvent("hit", lvl, slice, set, now)
-		e.Way, e.AgeBefore, e.AgeAfter = way, ageBefore, c.AgeOf(set, way)
-	} else {
-		e = h.hierEvent("miss", lvl, slice, set, now)
-	}
+	c.Lookup(set, la, cls) // counts the miss
+	e := h.hierEvent("miss", lvl, slice, set, now)
 	e.Addr = uint64(la)
 	h.tr.Emit(e)
-	return hit
+	return -1, false
+}
+
+// touchTraced is cache.Touch on a line a Probe just found, plus a hit event
+// carrying the way, the replacement age before/after and the given note.
+func (h *Hierarchy) touchTraced(c *cache.Cache, lvl Level, slice, set, way int, la mem.LineAddr, cls policy.AccessClass, now int64, note string) {
+	if !h.tr.On(trace.PkgHier) {
+		c.Touch(set, way, cls)
+		return
+	}
+	ageBefore := c.AgeOf(set, way)
+	c.Touch(set, way, cls)
+	e := h.hierEvent("hit", lvl, slice, set, now)
+	e.Way, e.AgeBefore, e.AgeAfter = way, ageBefore, c.AgeOf(set, way)
+	e.Addr, e.Note = uint64(la), note
+	h.tr.Emit(e)
 }
 
 // fillMeta snapshots a set's replacement ages into h.fillAges before a
@@ -69,20 +77,16 @@ func (h *Hierarchy) fillMeta(c *cache.Cache, set int) {
 	}
 }
 
-// traceFill emits the evict/fill (or fill-drop) events for one completed
-// Fill, given the pre-fill age snapshot fillMeta took.
-func (h *Hierarchy) traceFill(c *cache.Cache, lvl Level, slice, set int, la mem.LineAddr, ev cache.Evicted, evicted, ok bool, now int64) {
+// traceFill emits the evict/fill (or, for way < 0, fill-drop) events for
+// one completed Install, given the pre-fill age snapshot fillMeta took.
+func (h *Hierarchy) traceFill(c *cache.Cache, lvl Level, slice, set int, la mem.LineAddr, way int, ev cache.Evicted, evicted bool, now int64) {
 	if !h.tr.On(trace.PkgHier) {
 		return
 	}
-	if !ok {
+	if way < 0 {
 		e := h.hierEvent("fill-drop", lvl, slice, set, now)
 		e.Addr = uint64(la)
 		h.tr.Emit(e)
-		return
-	}
-	way, present := c.Probe(set, la)
-	if !present {
 		return
 	}
 	if evicted {

@@ -138,11 +138,8 @@ func (h *Hierarchy) flushCache(c *cache.Cache) {
 	}
 }
 
-// L1Stats, L2Stats and LLCStats expose event counters for experiments.
+// L1Stats and LLCStats expose event counters for experiments.
 func (h *Hierarchy) L1Stats(core int) cache.Stats { h.checkCore(core); return h.l1[core].Stats() }
-
-// L2Stats returns core's L2 counters.
-func (h *Hierarchy) L2Stats(core int) cache.Stats { h.checkCore(core); return h.l2[core].Stats() }
 
 // LLCStats returns the summed counters across slices.
 func (h *Hierarchy) LLCStats() cache.Stats {

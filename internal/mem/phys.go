@@ -75,9 +75,6 @@ func NewPhysMem(totalBytes uint64, seed int64) *PhysMem {
 // TotalFrames reports the pool capacity in frames.
 func (pm *PhysMem) TotalFrames() int { return len(pm.frames) }
 
-// FreeFrames reports how many frames remain allocatable.
-func (pm *PhysMem) FreeFrames() int { return len(pm.frames) - pm.next }
-
 // AllocFrame hands out the next randomized frame number.
 func (pm *PhysMem) AllocFrame() (uint64, error) {
 	if pm.next >= len(pm.frames) {

@@ -1,9 +1,6 @@
 package mem
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // AddressSpace is a per-process virtual address space: a page table mapping
 // virtual pages to physical frames. Every page of a region is backed
@@ -131,17 +128,6 @@ func (as *AddressSpace) MapShared(other *AddressSpace, base VAddr, size uint64) 
 	}
 	as.tlMemo = nil
 	return nil
-}
-
-// MappedPages returns the mapped virtual page numbers in ascending order.
-// Used by tests and diagnostics.
-func (as *AddressSpace) MappedPages() []uint64 {
-	out := make([]uint64, 0, len(as.pages))
-	for p := range as.pages {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // Lines enumerates the line-aligned virtual addresses of a [base, base+size)

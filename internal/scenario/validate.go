@@ -157,6 +157,9 @@ func (p *PlatformSpec) validate(v *validator, path string) {
 		}
 	}
 	checkNonNeg("cores", p.Cores)
+	if p.Cores > hier.MaxCores {
+		v.fail(joinPath(path, "cores"), "must be at most %d (the LLC tracks sharers in one core-valid byte), got %d", hier.MaxCores, p.Cores)
+	}
 	checkNonNeg("l1_sets", p.L1Sets)
 	checkNonNeg("l1_ways", p.L1Ways)
 	checkNonNeg("l2_sets", p.L2Sets)

@@ -94,6 +94,11 @@ func TestValidateNegative(t *testing.T) {
 			path: "platform.cores", msg: "non-negative",
 		},
 		{
+			name: "too many cores",
+			yaml: minimal + "platform:\n  cores: 9\n",
+			path: "platform.cores", msg: "must be at most 8",
+		},
+		{
 			name: "statewalk bad message",
 			yaml: strings.Replace(minimal, `message: "10"`, "message: abc", 1),
 			path: "statewalk.message", msg: "0s and 1s",
